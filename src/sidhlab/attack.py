@@ -22,23 +22,26 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
 from .field import Fp2
-from .isogeny import balanced_strategy, strategy_eval3
 from .montgomery import (
     MontgomeryCurve,
-    SamplingExhaustedError,
     XPoint,
     affine_a_from_projective,
     coeff_from_a,
-    j_invariant,
     ladder3pt,
     x_affine,
-    xdbl_e,
     xpoint_from_affine,
     xpoint_in_fp,
-    xtpl,
     xtpl_e,
 )
-from .protocol import BOB, PublicKey, SidhParams, get_a, keygen
+from .protocol import (
+    BOB,
+    PublicKey,
+    SidhParams,
+    chain_inputs,
+    keygen,
+    prefix_chain,
+    sample_torsion_x,
+)
 
 
 class OracleContradictionError(RuntimeError):
@@ -71,50 +74,6 @@ class AttackState:
         return sum(self.calls_per_trit)
 
 
-def _walk_chain(
-    params: SidhParams,
-    kernel: XPoint,
-    coeff,
-    steps: int,
-    push: Sequence[XPoint],
-) -> tuple:
-    """x-only 3-isogeny chain of the given length (kernel has order
-    3^steps), returning (final coeff, pushed points)."""
-    if steps == 0:
-        return coeff, list(push)
-    final, pushed, trace = strategy_eval3(kernel, coeff, balanced_strategy(steps), push)
-    if not trace.completed:
-        raise OracleContradictionError(f"attacker chain degenerate at step {trace.degenerate_at}")
-    return final, pushed
-
-
-def _sample_independent_t(
-    params: SidhParams,
-    curve: MontgomeryCurve,
-    coeff,
-    anchor_x: Fp2,
-    rng: random.Random,
-    max_tries: int = 1000,
-) -> Fp2:
-    """x-coordinate of a point of exact order 3^e3 on the curve whose
-    order-3 part differs from the anchor's (x-compared)."""
-    F = params.field
-    for _ in range(max_tries):
-        x = F.random_element(rng)
-        if x.is_zero() or not F.is_square(curve.rhs(x)):
-            continue
-        t_pt = xdbl_e(xpoint_from_affine(x, F), coeff, params.e2)
-        if t_pt.Z.is_zero():
-            continue
-        almost = xtpl_e(t_pt, coeff, params.e3 - 1)
-        if almost.Z.is_zero() or not xtpl(almost, coeff).is_infinity():
-            continue  # order not exactly 3^e3
-        if x_affine(almost) == anchor_x:
-            continue  # same order-3 subgroup as phi(Q)
-        return x_affine(t_pt)
-    raise SamplingExhaustedError("no independent auxiliary point")
-
-
 def forge_public_keys(
     params: SidhParams,
     sk_prefix: int,
@@ -144,17 +103,18 @@ def forge_public_keys(
         pk_second = PublicKey(E.add(P, Q).x, params.xQB, params.xPB)
         return ForgedKeys(pk=pk, pk_second=pk_second)
 
-    coeff0 = params.coeff0
-    xP, xQ, xD = params.basis_xpoints(BOB)
-    kernel = xtpl_e(ladder3pt(sk_prefix, xP, xQ, xD, coeff0), coeff0, params.e3 - i)
-    final, pushed = _walk_chain(params, kernel, coeff0, i, [xQ])
+    basis = params.basis_xpoints(BOB)
+    final, pushed, trace = prefix_chain(params, sk_prefix, i, (params.coeff0, *basis), [basis[1]])
+    if not trace.completed:
+        raise OracleContradictionError(f"attacker chain degenerate at step {trace.degenerate_at}")
     A_i = affine_a_from_projective(final)
     E_i = MontgomeryCurve(A_i, F)
     coeff_i = coeff_from_a(A_i, F)
     x_phiq = x_affine(pushed[0])
     xq_pt = xpoint_from_affine(x_phiq, F)
     anchor_x = x_affine(xtpl_e(xq_pt, coeff_i, params.e3 - 1))
-    x_t = _sample_independent_t(params, E_i, coeff_i, anchor_x, rng)
+    # exact order 3^e3, independent of phi(Q) at the order-3 level
+    x_t = x_affine(sample_torsion_x(params, E_i, 3, params.e3, rng, avoid=anchor_x))
 
     phi_q = E_i.lift_x(x_phiq)
     if negate_phi_q:
@@ -194,15 +154,10 @@ def candidate_kernels(
     the whole pk triple through, then laddering [3^(e3-1-i)](P~ + [k_t]Q~)
     with k_t = sk_prefix + t*3^i on the landing curve.
     """
-    F = params.field
-    A = get_a(forged.pk, F)
-    coeff = coeff_from_a(A, F)
-    xP = xpoint_from_affine(forged.pk.xP, F)
-    xQ = xpoint_from_affine(forged.pk.xQ, F)
-    xD = xpoint_from_affine(forged.pk.xPQ, F)
-    kernel = xtpl_e(ladder3pt(sk_prefix, xP, xQ, xD, coeff), coeff, params.e3 - i)
-    final, pushed = _walk_chain(params, kernel, coeff, i, [xP, xQ, xD])
-    pP, pQ, pD = pushed
+    inputs = chain_inputs(forged.pk, params.field)
+    final, (pP, pQ, pD), trace = prefix_chain(params, sk_prefix, i, inputs, inputs[1:])
+    if not trace.completed:
+        raise OracleContradictionError(f"attacker chain degenerate at step {trace.degenerate_at}")
     down = params.e3 - 1 - i
     cands = []
     for t in range(3):
@@ -267,24 +222,18 @@ def recover_key(
             trit, calls = infer_trit(memberships, verdicts)
         state.sk += trit * 3**i
         state.calls_per_trit.append(calls)
-    state.sk += _last_trit(params, state.sk, bob_pk) * 3 ** (params.e3 - 1)
+    top = _last_trit(params, state.sk, bob_pk)
+    if top is None:
+        raise OracleContradictionError("no top trit reproduces the public key")
+    state.sk += top * 3 ** (params.e3 - 1)
     return state
 
 
-def _last_trit(params: SidhParams, prefix: int, bob_pk: PublicKey) -> int:
-    """Brute force s_(e3-1): which completion reproduces the victim's
-    public key (j-invariant first, exact triple as the tie-breaker)."""
-    F = params.field
-    j_target = j_invariant(get_a(bob_pk, F), F)
+def _last_trit(params: SidhParams, prefix: int, bob_pk: PublicKey) -> Optional[int]:
+    """Brute force s_(e3-1): the first t whose completion prefix + t*3^(e3-1)
+    has exactly the victim's public key; None when no completion does (some
+    lower trit is wrong).  All three keygens always run, so the cost of the
+    search does not depend on the key."""
     top = 3 ** (params.e3 - 1)
-    matches = []
-    for t in range(3):
-        sk_full = prefix + t * top
-        pk_t = keygen(params, BOB, sk_full)
-        if j_invariant(get_a(pk_t, F), F) == j_target:
-            matches.append((t, pk_t))
-    if len(matches) > 1:  # tiny fields can collide on j; the triple cannot
-        matches = [(t, pk_t) for t, pk_t in matches if pk_t == bob_pk]
-    if not matches:
-        raise OracleContradictionError("no top trit reproduces the public key")
-    return matches[0][0]
+    pks = [keygen(params, BOB, prefix + t * top) for t in range(3)]
+    return next((t for t, pk in enumerate(pks) if pk == bob_pk), None)

@@ -92,7 +92,9 @@ def params_gen(e2: int, e3: int, seed: int, out: str, name: Optional[str]):
 
 def _run_trial(args) -> TrialReport:
     params_arg, seed = args
-    ps = _PARAMS_CACHE.setdefault(params_arg, _load(params_arg))
+    ps = _PARAMS_CACHE.get(params_arg)
+    if ps is None:
+        ps = _PARAMS_CACHE[params_arg] = _load(params_arg)
     rng = random.Random(seed)
     sk = ps.sample_sk(BOB, rng)
     bob_pk = keygen(ps, BOB, sk)

@@ -20,26 +20,32 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .field import Fp2
-from .attack import OracleContradictionError, forge_public_keys
+from .attack import OracleContradictionError, _last_trit, forge_public_keys
 from .faultsim import _supersingular_spot_check
 from .isogeny import FaultHook, IsogenyStep, strategy_eval3
 from .montgomery import (
     MontgomeryCurve,
     ProjCoeff,
     SamplingExhaustedError,
+    SingularCurveError,
     XPoint,
     affine_a_from_projective,
-    coeff_from_a,
     coeff_in_fp,
     j_invariant,
     ladder3pt,
     x_affine,
-    xdbl,
     xdbl_e,
-    xpoint_from_affine,
-    xtpl_e,
 )
-from .protocol import BOB, PublicKey, SidhParams, derive, get_a, keygen
+from .protocol import (
+    BOB,
+    InconsistentPublicKeyError,
+    PublicKey,
+    SidhParams,
+    chain_inputs,
+    derive,
+    derive_with_trace,
+    sample_torsion_x,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,30 +96,6 @@ def xeval2(Q: XPoint, step: IsogenyStep) -> XPoint:
     return XPoint(Q.X * (Q.X * kx - Q.Z * kz), Q.Z * (Q.X * kz - Q.Z * kx))
 
 
-def _sample_x_of_2power_order(
-    params: SidhParams,
-    curve: MontgomeryCurve,
-    coeff: ProjCoeff,
-    k: int,
-    rng: random.Random,
-    max_tries: int = 1000,
-) -> XPoint:
-    """x-point of exact order 2^k on the curve."""
-    F = params.field
-    for _ in range(max_tries):
-        x = F.random_element(rng)
-        if x.is_zero() or not F.is_square(curve.rhs(x)):
-            continue
-        pt = xtpl_e(xdbl_e(xpoint_from_affine(x, F), coeff, params.e2 - k), coeff, params.e3)
-        if pt.Z.is_zero():
-            continue
-        below = xdbl_e(pt, coeff, k - 1)
-        if below.Z.is_zero() or not xdbl(below, coeff).is_infinity():
-            continue
-        return pt
-    raise SamplingExhaustedError(f"no point of order 2^{k}")
-
-
 def _two_power_walk(
     kernel: XPoint,
     coeff: ProjCoeff,
@@ -156,23 +138,16 @@ def derive_bob_randomized(
     if k == 0:
         return derive(params, BOB, sk, pk)
     F = params.field
-    A = get_a(pk, F)
-    E_A = MontgomeryCurve(A, F)
-    coeff_A = coeff_from_a(A, F)
+    coeff_A, *triple = chain_inputs(pk, F)
+    E_A = MontgomeryCurve(affine_a_from_projective(coeff_A), F)
     for _ in range(max_tries):
-        R = _sample_x_of_2power_order(params, E_A, coeff_A, k, rng)
-        D = _sample_x_of_2power_order(params, E_A, coeff_A, k, rng)
+        R = sample_torsion_x(params, E_A, 2, k, rng)
+        D = sample_torsion_x(params, E_A, 2, k, rng)
         if x_affine(xdbl_e(R, coeff_A, k - 1)) != x_affine(xdbl_e(D, coeff_A, k - 1)):
             break  # <R, D> spans the 2^k-torsion
     else:
         raise SamplingExhaustedError("no spanning 2-power pair")
-    push = [
-        xpoint_from_affine(pk.xP, F),
-        xpoint_from_affine(pk.xQ, F),
-        xpoint_from_affine(pk.xPQ, F),
-        D,
-    ]
-    coeff_masked, pushed = _two_power_walk(R, coeff_A, k, push, F)
+    coeff_masked, pushed = _two_power_walk(R, coeff_A, k, triple + [D], F)
     xP1, xQ1, xD1, d_img = pushed
     kernel = ladder3pt(sk, xP1, xQ1, xD1, coeff_masked)
     final, pushed3, trace = strategy_eval3(kernel, coeff_masked, params.strategy3, [d_img])
@@ -185,8 +160,6 @@ def derive_bob_randomized(
 def derive_bob_naive_reject(params: SidhParams, sk: int, pk: PublicKey) -> NaiveRejectOutcome:
     """Honest derive that aborts when any intermediate codomain coefficient
     (isogenies 1 .. e3-1) lies in GF(p)."""
-    from .protocol import derive_with_trace
-
     final, trace = derive_with_trace(params, BOB, sk, pk)
     limit = min(params.e3 - 1, len(trace.coeffs) - 1)
     for step in range(1, limit + 1):
@@ -234,7 +207,13 @@ def faultless_attack(
             trit = 2
         prefix += trit * 3**i
 
-    sk = _verify_completion(params, prefix, bob_pk)
+    top = 3 ** (params.e3 - 1)
+
+    def complete(prefix: int) -> Optional[int]:
+        t = _last_trit(params, prefix, bob_pk)
+        return None if t is None else prefix + t * top
+
+    sk = complete(prefix)
     if sk is not None:
         return sk
 
@@ -246,7 +225,7 @@ def faultless_attack(
 
     def dfs(prefix: int, i: int) -> Optional[int]:
         if i == params.e3 - 1:
-            return _verify_completion(params, prefix, bob_pk)
+            return complete(prefix)
         rejected = []
         for t in range(3):
             inst = forge_public_keys(params, prefix + t * 3**i, i + 1, rng)
@@ -269,17 +248,6 @@ def faultless_attack(
     return sk
 
 
-def _verify_completion(params: SidhParams, prefix: int, bob_pk: PublicKey) -> Optional[int]:
-    """The top trit by brute force; None when no completion reproduces the
-    victim's public key (i.e. some oracle-read trit was wrong)."""
-    top = 3 ** (params.e3 - 1)
-    for t in range(3):
-        sk_full = prefix + t * top
-        if keygen(params, BOB, sk_full) == bob_pk:
-            return sk_full
-    return None
-
-
 def make_reject_oracle(params: SidhParams, sk: int) -> Callable[[PublicKey], bool]:
     """True iff the naive GF(p)-reject responder rejects the public key."""
 
@@ -296,39 +264,23 @@ def oracle_randomized(
     i: int,
     config: PushforwardConfig,
     rng: random.Random,
-    max_tries: int = 100,
 ) -> int:
     """The fault oracle against a responder running the randomized
     pushforward: the hook fires inside the masked 3-chain.  Used to measure
     how the masking degrades the forger's success rate."""
     if not 0 <= i <= params.e3 - 2:
         raise ValueError(f"fault index {i} outside [0, e3 - 2]")
-    F = params.field
     k = config.k
     try:
-        A = get_a(pk, F)
-    except Exception:
-        return 0
-    E_A = MontgomeryCurve(A, F)
-    coeff_A = coeff_from_a(A, F)
+        coeff_A, *triple = chain_inputs(pk, params.field)
+        E_A = MontgomeryCurve(affine_a_from_projective(coeff_A), params.field)
+    except (InconsistentPublicKeyError, ZeroDivisionError, SingularCurveError):
+        return 0  # a malformed pk gets bit 0, as from the unmasked oracle
     if k == 0:
-        coeff_masked = coeff_A
-        xP1 = xpoint_from_affine(pk.xP, F)
-        xQ1 = xpoint_from_affine(pk.xQ, F)
-        xD1 = xpoint_from_affine(pk.xPQ, F)
+        coeff_masked, (xP1, xQ1, xD1) = coeff_A, triple
     else:
-        R = _sample_x_of_2power_order(params, E_A, coeff_A, k, rng)
-        coeff_masked, (xP1, xQ1, xD1) = _two_power_walk(
-            R,
-            coeff_A,
-            k,
-            [
-                xpoint_from_affine(pk.xP, F),
-                xpoint_from_affine(pk.xQ, F),
-                xpoint_from_affine(pk.xPQ, F),
-            ],
-            F,
-        )
+        R = sample_torsion_x(params, E_A, 2, k, rng)
+        coeff_masked, (xP1, xQ1, xD1) = _two_power_walk(R, coeff_A, k, triple, params.field)
     kernel = ladder3pt(sk, xP1, xQ1, xD1, coeff_masked)
     hook = FaultHook(target_index=i)
     final, _, trace = strategy_eval3(kernel, coeff_masked, params.strategy3, (), hook)

@@ -16,19 +16,26 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .field import Fp2Field
-from .isogeny import ChainTrace, FaultHook, balanced_strategy, strategy_eval3
+from .isogeny import ChainTrace, FaultHook
 from .montgomery import (
     DegenerateCoefficientError,
     MontgomeryCurve,
     affine_a_from_projective,
     coeff_from_a,
     coeff_in_fp,
-    ladder3pt,
     xdbl_e,
     xpoint_from_affine,
     xtpl_e,
 )
-from .protocol import BOB, InconsistentPublicKeyError, PublicKey, SidhParams, derive_with_trace, get_a
+from .protocol import (
+    BOB,
+    InconsistentPublicKeyError,
+    PublicKey,
+    SidhParams,
+    chain_inputs,
+    derive_with_trace,
+    prefix_chain,
+)
 
 SPOT_CHECK_POINTS = 3
 
@@ -129,19 +136,8 @@ def debug_assert_forced_curve(params: SidhParams, sk_prefix: int, pk: PublicKey,
     i-th codomain is exactly the A = 6 curve.  Test instrumentation only;
     the oracle's verdict never calls this.
     """
-    F = params.field
-    A = get_a(pk, F)
-    if i == 0:
-        return A == F(6)
-    coeff = coeff_from_a(A, F)
-    xP = xpoint_from_affine(pk.xP, F)
-    xQ = xpoint_from_affine(pk.xQ, F)
-    xD = xpoint_from_affine(pk.xPQ, F)
-    kernel = xtpl_e(ladder3pt(sk_prefix, xP, xQ, xD, coeff), coeff, params.e3 - i)
-    final, _, trace = strategy_eval3(kernel, coeff, balanced_strategy(i))
-    if not trace.completed:
-        return False
-    return affine_a_from_projective(final) == F(6)
+    final, _, trace = prefix_chain(params, sk_prefix, i, chain_inputs(pk, params.field), ())
+    return trace.completed and affine_a_from_projective(final) == params.field(6)
 
 
 def dump_chain_trace(trace: ChainTrace, field: Fp2Field) -> str:

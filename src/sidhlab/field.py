@@ -10,6 +10,7 @@ timing is everywhere and by design (see README).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -19,10 +20,71 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     _mpz = int
 
     def _invert(x, p):
+        if x % p == 0:  # as gmpy2.invert does; pow() would raise ValueError
+            raise ZeroDivisionError("inverse of zero")
         return pow(x, -1, p)
 
     def _powmod(x, e, p):
         return pow(x, e, p)
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_probable_prime(n: int) -> bool:
+    """Baillie-PSW: a strong probable prime to the bases 2..37 (which alone
+    decides every n < 3.3e24) and a strong Lucas probable prime with
+    Selfridge's parameters.  No composite is known to pass both."""
+    if n < 2 or any(n % q == 0 for q in _SMALL_PRIMES):
+        return n in _SMALL_PRIMES
+    s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    for a in _SMALL_PRIMES:
+        powers = [pow(a, (n - 1) >> (s - r), n) for r in range(s)]  # a^(d 2^r)
+        if powers[0] != 1 and n - 1 not in powers:
+            return False
+    return _strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a, result = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test for odd n > 37 with P = 1 and Q = (1 - D)/4, D the
+    first of 5, -7, 9, -11, ... with (D/n) = -1."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no such D exists for a square
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # gcd(D, n) > 1: n is composite
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d * 2^s, d odd
+    half = (n + 1) // 2
+    U, V, Qk = 1, 1, Q % n  # U_k, V_k and Q^k for k = 1
+    for bit in bin((n + 1) >> s)[3:]:  # k -> 2k, then k -> k + 1 on a set bit
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0:
+        return True
+    for _ in range(s):  # V at k = d * 2^r, r = 0 .. s - 1
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
 
 
 @dataclass(frozen=True)
@@ -34,15 +96,12 @@ class FieldParams:
     e3: int
 
     @classmethod
-    def from_exponents(cls, e2: int, e3: int, check_prime: bool = True) -> "FieldParams":
+    def from_exponents(cls, e2: int, e3: int) -> "FieldParams":
         if e2 < 2 or e3 < 1:
             raise ValueError("need e2 >= 2 and e3 >= 1")
         p = (1 << e2) * 3**e3 - 1
-        if check_prime:
-            from sympy import isprime
-
-            if not isprime(p):
-                raise ValueError(f"2^{e2} * 3^{e3} - 1 = {p} is not prime")
+        if not is_probable_prime(p):
+            raise ValueError(f"2^{e2} * 3^{e3} - 1 = {p} is not prime")
         return cls(p=p, e2=e2, e3=e3)
 
     def __post_init__(self):

@@ -2,6 +2,12 @@
 evaluator, including the fault hook that zeroes the imaginary parts of a
 freshly computed projective curve coefficient.
 
+One traversal serves both degrees (the strategies of De Feo, Jao and Plut,
+J. Math. Cryptol. 2014): a strategy becomes an index schedule, which rejects
+a malformed one with StrategyError, and one walker follows the schedule with
+the degree's point operations; strategy_eval3 and strategy_eval4 only pick
+those operations.
+
 Chains never raise on corrupted data: a kernel that fails its order check
 marks the trace degenerate and the run stops, mirroring how a faulted victim
 computation just produces garbage downstream.
@@ -15,9 +21,8 @@ from typing import Optional, Sequence
 from .montgomery import (
     ProjCoeff,
     XPoint,
-    xdbl,
+    exact_order_multiple,
     xdbl_e,
-    xtpl,
     xtpl_e,
     zero_imaginary_parts,
 )
@@ -115,22 +120,68 @@ def xeval4(Q: XPoint, step: IsogenyStep) -> XPoint:
 
 
 def _has_order_3(R: XPoint, coeff: ProjCoeff) -> bool:
-    """Exact order 3: R is a finite point and [3]R is infinity."""
-    if R.Z.is_zero():
-        return False  # infinity or the degenerate (0,0)
-    return xtpl(R, coeff).is_infinity()
+    return exact_order_multiple(R, coeff, 3, 1) is not None
 
 
 def _has_order_4(R: XPoint, coeff: ProjCoeff) -> bool:
     """Exact order 4 with x != +-1 (the kernels the 4-isogeny formulas take)."""
-    if R.Z.is_zero():
-        return False
     if (R.X - R.Z).is_zero() or (R.X + R.Z).is_zero():
         return False  # kernel above (0, 0): outside the formulas' domain
-    R2 = xdbl(R, coeff)
-    if R2.Z.is_zero():
-        return False
-    return xdbl(R2, coeff).is_infinity()
+    return exact_order_multiple(R, coeff, 2, 2) is not None
+
+
+def _schedule(strategy: Sequence[int], n: int) -> list[tuple[int, ...]]:
+    """Per chain step, the leaf distances the walk moves toward that step's
+    kernel, saving its point before each move.  Raises StrategyError unless
+    n - 1 positive entries visit every leaf exactly once."""
+    if n < 1 or len(strategy) != n - 1:
+        raise StrategyError(f"{n} leaves need {n - 1} strategy entries, got {len(strategy)}")
+    rows, stack, i, k = [], [], 0, 0
+    for row in range(1, n + 1):
+        moves = []
+        while i < n - row:
+            if strategy[k] <= 0:
+                raise StrategyError(f"strategy entry {k} is not positive")
+            stack.append(i)
+            moves.append(strategy[k])
+            i += strategy[k]
+            k += 1
+        if i != n - row:
+            raise StrategyError(f"strategy overshoots leaf {row}")
+        rows.append(tuple(moves))
+        if row < n:
+            i = stack.pop()
+    return rows
+
+
+def _walk(R, coeff, strategy, push_points, hook, mul_e, per_leaf, has_order, isog, ev):
+    """The chain with kernel <R> that the strategy schedules, from one
+    degree's point operations: mul_e(R, coeff, per_leaf * m) moves m leaves
+    toward the kernel, has_order(R, coeff) checks a kernel, isog(R) and
+    ev(Q, step) compute and evaluate one isogeny."""
+    trace = ChainTrace(coeffs=[coeff])
+    pushed = list(push_points)
+    stack: list[XPoint] = []
+    for row, moves in enumerate(_schedule(strategy, len(strategy) + 1)):
+        for m in moves:
+            stack.append(R)
+            R = mul_e(R, coeff, per_leaf * m)
+        trace.kernels.append(R)
+        if not has_order(R, coeff):
+            trace.degenerate_at = row
+            return coeff, pushed, trace
+        step = isog(R)
+        coeff = step.new_coeff
+        if hook is not None:
+            coeff = hook.maybe_fire(row, coeff)
+            if hook.fired and trace.fault_fired_at is None:
+                trace.fault_fired_at = row
+        trace.coeffs.append(coeff)
+        if stack:
+            stack = [ev(pt, step) for pt in stack]
+            R = stack.pop()
+        pushed = [ev(pt, step) for pt in pushed]
+    return coeff, pushed, trace
 
 
 def strategy_eval3(
@@ -147,36 +198,7 @@ def strategy_eval3(
     Every step's kernel is order-3 checked first; a failure (possible after a
     fault) marks the trace degenerate and returns early instead of raising.
     """
-    n = len(strategy) + 1
-    trace = ChainTrace(coeffs=[coeff])
-    pushed = list(push_points)
-    stack: list[tuple[XPoint, int]] = []
-    i = 0
-    k = 0
-    for row in range(1, n + 1):
-        while i < n - row:
-            stack.append((R, i))
-            m = strategy[k]
-            k += 1
-            R = xtpl_e(R, coeff, m)
-            i += m
-        trace.kernels.append(R)
-        if not _has_order_3(R, coeff):
-            trace.degenerate_at = row - 1
-            return coeff, pushed, trace
-        step = xisog3(R)
-        coeff = step.new_coeff
-        if hook is not None:
-            coeff = hook.maybe_fire(row - 1, coeff)
-            if hook.fired and trace.fault_fired_at is None:
-                trace.fault_fired_at = row - 1
-        trace.coeffs.append(coeff)
-        if row < n:
-            stack = [(xeval3(pt, step), idx) for pt, idx in stack]
-            R, i = stack.pop()
-        if pushed:
-            pushed = [xeval3(pt, step) for pt in pushed]
-    return coeff, pushed, trace
+    return _walk(R, coeff, strategy, push_points, hook, xtpl_e, 1, _has_order_3, xisog3, xeval3)
 
 
 def strategy_eval4(
@@ -185,60 +207,19 @@ def strategy_eval4(
     strategy: Sequence[int],
     push_points: Sequence[XPoint] = (),
 ) -> tuple[ProjCoeff, list, ChainTrace]:
-    """2^(2n)-isogeny with kernel <R> as n 4-isogenies, n = len(strategy) + 1.
-
-    Mirrors strategy_eval3 with doublings in place of triplings; no fault
-    hook (the 2-power side is not a fault target here).
-    """
-    n = len(strategy) + 1
-    trace = ChainTrace(coeffs=[coeff])
-    pushed = list(push_points)
-    stack: list[tuple[XPoint, int]] = []
-    i = 0
-    k = 0
-    for row in range(1, n + 1):
-        while i < n - row:
-            stack.append((R, i))
-            m = strategy[k]
-            k += 1
-            R = xdbl_e(R, coeff, 2 * m)
-            i += m
-        trace.kernels.append(R)
-        if not _has_order_4(R, coeff):
-            trace.degenerate_at = row - 1
-            return coeff, pushed, trace
-        step = xisog4(R)
-        coeff = step.new_coeff
-        trace.coeffs.append(coeff)
-        if row < n:
-            stack = [(xeval4(pt, step), idx) for pt, idx in stack]
-            R, i = stack.pop()
-        if pushed:
-            pushed = [xeval4(pt, step) for pt in pushed]
-    return coeff, pushed, trace
+    """2^(2n)-isogeny with kernel <R> as n 4-isogenies, n = len(strategy) + 1:
+    strategy_eval3 with doublings in place of triplings and no fault hook
+    (the 2-power side is not a fault target here)."""
+    return _walk(R, coeff, strategy, push_points, None, xdbl_e, 2, _has_order_4, xisog4, xeval4)
 
 
 def validate_strategy(strategy: Sequence[int], n: int) -> bool:
-    """Replay the index bookkeeping: every leaf visited exactly once."""
-    if n < 1 or len(strategy) != n - 1:
+    """True iff the strategy drives an n-leaf chain through every leaf once."""
+    try:
+        _schedule(strategy, n)
+    except StrategyError:
         return False
-    stack: list[int] = []
-    i = 0
-    k = 0
-    for row in range(1, n + 1):
-        while i < n - row:
-            stack.append(i)
-            if k >= len(strategy) or strategy[k] <= 0:
-                return False
-            i += strategy[k]
-            k += 1
-        if i != n - row:
-            return False  # overshot a leaf
-        if row < n:
-            if not stack:
-                return False
-            i = stack.pop()
-    return not stack and k == len(strategy)
+    return True
 
 
 def balanced_strategy(n: int, cost_mul: float = 1.0, cost_isog: float = 1.0) -> list[int]:
@@ -259,7 +240,5 @@ def balanced_strategy(n: int, cost_mul: float = 1.0, cost_isog: float = 1.0) -> 
                 best_b, best_cost = b, cost
         S[size] = [best_b] + S[size - best_b] + S[best_b]
         C[size] = best_cost
-    strategy = S[n]
-    if not validate_strategy(strategy, n):
-        raise StrategyError(f"internal: invalid strategy for n={n}")
-    return strategy
+    _schedule(S[n], n)  # raises StrategyError should the recursion be wrong
+    return S[n]

@@ -280,6 +280,17 @@ def xtpl_e(P: XPoint, coeff: ProjCoeff, e: int) -> XPoint:
     return P
 
 
+def exact_order_multiple(P: XPoint, coeff: ProjCoeff, ell: int, e: int) -> Optional[XPoint]:
+    """[ell^(e-1)]P when x(P) has exact order ell^e (ell = 2 or 3), else None."""
+    if P.Z.is_zero():
+        return None  # infinity or the degenerate (0, 0)
+    mul_e, mul = (xdbl_e, xdbl) if ell == 2 else (xtpl_e, xtpl)
+    below = mul_e(P, coeff, e - 1)
+    if below.Z.is_zero() or not mul(below, coeff).is_infinity():
+        return None
+    return below
+
+
 def ladder3pt(k: int, xP: XPoint, xQ: XPoint, xPQ: XPoint, coeff: ProjCoeff) -> XPoint:
     """x(P + [k]Q) from x(P), x(Q), x(P - Q); LSB-first three-point ladder."""
     if k < 0:

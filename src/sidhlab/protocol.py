@@ -15,10 +15,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .field import FieldParams, Fp2, Fp2Field
-from .isogeny import ChainTrace, FaultHook, balanced_strategy, strategy_eval3, strategy_eval4
+from .isogeny import (
+    ChainTrace,
+    FaultHook,
+    balanced_strategy,
+    strategy_eval3,
+    strategy_eval4,
+    validate_strategy,
+)
 from .montgomery import (
     FullPoint,
     MontgomeryCurve,
@@ -27,6 +34,7 @@ from .montgomery import (
     XPoint,
     affine_a_from_projective,
     coeff_from_a,
+    exact_order_multiple,
     j_invariant,
     ladder3pt,
     sample_point_of_order,
@@ -124,10 +132,14 @@ class SidhParams:
         coeff = self.coeff0
         xPA, xQA, xDA = self.basis_xpoints(ALICE)
         xPB, xQB, xDB = self.basis_xpoints(BOB)
-        _check_exact_power_order(xPA, coeff, 2, self.e2, "x(PA)")
-        _check_exact_power_order(xQA, coeff, 2, self.e2, "x(QA)")
-        _check_exact_power_order(xPB, coeff, 3, self.e3, "x(PB)")
-        _check_exact_power_order(xQB, coeff, 3, self.e3, "x(QB)")
+        for label, P, ell, e in (
+            ("x(PA)", xPA, 2, self.e2),
+            ("x(QA)", xQA, 2, self.e2),
+            ("x(PB)", xPB, 3, self.e3),
+            ("x(QB)", xQB, 3, self.e3),
+        ):
+            if exact_order_multiple(P, coeff, ell, e) is None:
+                raise ValueError(f"{label} does not have exact order {ell}^{e}")
         pa2 = xdbl_e(xPA, coeff, self.e2 - 1)
         qa2 = xdbl_e(xQA, coeff, self.e2 - 1)
         if x_affine(pa2) == x_affine(qa2):
@@ -151,19 +163,8 @@ class SidhParams:
             if not _difference_consistent(xP, xQ, xD, F(6), F):
                 raise ValueError(f"{label} difference x-coordinate is inconsistent")
         for s, n in ((self.strategy3, self.e3), (self.strategy4, self.e2 // 2)):
-            from .isogeny import validate_strategy
-
             if not validate_strategy(s, n):
                 raise ValueError("invalid default strategy")
-
-
-def _check_exact_power_order(P: XPoint, coeff: ProjCoeff, ell: int, e: int, label: str):
-    step = xdbl_e if ell == 2 else xtpl_e
-    almost = step(P, coeff, e - 1)
-    if almost.is_infinity() or almost.is_degenerate():
-        raise ValueError(f"{label} does not have exact order {ell}^{e}")
-    if not step(almost, coeff, 1).is_infinity():
-        raise ValueError(f"{label} does not have order dividing {ell}^{e}")
 
 
 def _difference_consistent(xP: Fp2, xQ: Fp2, xD: Fp2, A: Fp2, F: Fp2Field) -> bool:
@@ -187,6 +188,57 @@ def get_a(pk: PublicKey, field: Fp2Field) -> Fp2:
         raise InconsistentPublicKeyError("vanishing denominator in coefficient recovery")
     t = F.one - pk.xP * pk.xQ - pk.xP * pk.xPQ - pk.xQ * pk.xPQ
     return t.sqr() * den.inv() - pk.xP - pk.xQ - pk.xPQ
+
+
+def chain_inputs(pk: PublicKey, field: Fp2Field) -> tuple[ProjCoeff, XPoint, XPoint, XPoint]:
+    """What a chain keyed by pk starts from: (A + 2 : A - 2) for the curve
+    the triple sits on, and the triple as x-points.  Raises
+    InconsistentPublicKeyError when no curve carries the triple."""
+    coeff = coeff_from_a(get_a(pk, field), field)
+    return (coeff,) + tuple(xpoint_from_affine(x, field) for x in (pk.xP, pk.xQ, pk.xPQ))
+
+
+def prefix_chain(
+    params: SidhParams,
+    sk_prefix: int,
+    i: int,
+    inputs: tuple[ProjCoeff, XPoint, XPoint, XPoint],
+    push: Sequence[XPoint],
+) -> tuple[ProjCoeff, list, ChainTrace]:
+    """The first i steps of Bob's chain for any key = sk_prefix mod 3^i:
+    kernel [3^(e3-i)](P + [sk_prefix]Q) from inputs = (coeff, x(P), x(Q),
+    x(P - Q)), pushing the given points; strategy_eval3's result shape."""
+    coeff, xP, xQ, xD = inputs
+    kernel = xtpl_e(ladder3pt(sk_prefix, xP, xQ, xD, coeff), coeff, params.e3 - i)
+    if i == 0:
+        return coeff, list(push), ChainTrace(coeffs=[coeff])
+    return strategy_eval3(kernel, coeff, balanced_strategy(i), push)
+
+
+def sample_torsion_x(
+    params: SidhParams,
+    curve: MontgomeryCurve,
+    ell: int,
+    k: int,
+    rng: random.Random,
+    avoid: Optional[Fp2] = None,
+) -> XPoint:
+    """x-point of exact order ell^k (ell = 2 or 3) on the curve: a random x
+    on the curve, the rest of p + 1 cleared (doublings first).  With avoid
+    given, points whose order-ell multiple has x = avoid are skipped."""
+    F = params.field
+    coeff = curve.coeff()
+    e2 = params.e2 - k if ell == 2 else params.e2
+    e3 = params.e3 - k if ell == 3 else params.e3
+    for _ in range(1000):
+        x = F.random_element(rng)
+        if x.is_zero() or not F.is_square(curve.rhs(x)):
+            continue
+        pt = xtpl_e(xdbl_e(xpoint_from_affine(x, F), coeff, e2), coeff, e3)
+        below = exact_order_multiple(pt, coeff, ell, k)
+        if below is not None and (avoid is None or x_affine(below) != avoid):
+            return pt
+    raise SamplingExhaustedError(f"no point of order {ell}^{k}")
 
 
 def keygen(params: SidhParams, side: str, sk: int) -> PublicKey:
@@ -221,12 +273,7 @@ def derive_with_trace(
     computed even when the trace is degenerate.
     """
     _check_sk(params, side, sk)
-    F = params.field
-    A = get_a(pk, F)
-    coeff = coeff_from_a(A, F)
-    xP = xpoint_from_affine(pk.xP, F)
-    xQ = xpoint_from_affine(pk.xQ, F)
-    xD = xpoint_from_affine(pk.xPQ, F)
+    coeff, xP, xQ, xD = chain_inputs(pk, params.field)
     kernel = ladder3pt(sk, xP, xQ, xD, coeff)
     if side == BOB:
         final, _, trace = strategy_eval3(kernel, coeff, params.strategy3, (), hook)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sidhlab.attack import forge_public_keys
+from sidhlab.countermeasure import PushforwardConfig, oracle_randomized
 from sidhlab.faultsim import (
     debug_assert_forced_curve,
     dump_chain_trace,
@@ -10,7 +11,7 @@ from sidhlab.faultsim import (
     oracle,
 )
 from sidhlab.montgomery import affine_a_from_projective, coeff_in_fp
-from sidhlab.protocol import ALICE, BOB, PublicKey, derive_with_trace, j_invariant, keygen
+from sidhlab.protocol import ALICE, BOB, PublicKey, derive_with_trace, get_a, j_invariant, keygen
 
 
 def truth_table(toy, sk, i, pk):
@@ -33,6 +34,17 @@ class TestOracleContract:
         F = toy.field
         v = oracle(toy, 5, PublicKey(F.zero, F(3), F(7)), 0)
         assert v.bit == 0 and v.failure_step == -1
+
+    @pytest.mark.parametrize("x", [1, -1])
+    def test_singular_curve_pk_maps_to_zero_under_masking(self, toy, x):
+        """x(P) = x(Q) = +-1 recovers A = -+2, a singular curve: bit 0 at
+        every masking degree, as from the unmasked oracle."""
+        F = toy.field
+        pk = PublicKey(F(x), F(x), F(5))
+        assert get_a(pk, F) == F(-2 * x)
+        assert oracle(toy, 5, pk, 0).bit == 0
+        for k in (0, 1, 2):
+            assert oracle_randomized(toy, 5, pk, 0, PushforwardConfig(k), random.Random(k)) == 0
 
     def test_deterministic(self, toy, rng):
         forged = forge_public_keys(toy, 2, 1, rng)

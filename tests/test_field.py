@@ -1,9 +1,10 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sidhlab.field import FieldParams, Fp2, Fp2Field
+from sidhlab.field import FieldParams, Fp2, Fp2Field, _strong_lucas_probable_prime, is_probable_prime
 
 P = 431
 
@@ -163,9 +164,38 @@ class TestFieldParams:
         fp = FieldParams.from_exponents(4, 3)
         assert fp.p == 431 and fp.p % 4 == 3
 
-    def test_rejects_non_prime(self):
+    # 215 = 5 * 43, 35 = 5 * 7, 143 = 11 * 13, and a 434-bit composite
+    @pytest.mark.parametrize("e2,e3", [(3, 3), (2, 2), (4, 2), (216, 136)])
+    def test_rejects_non_prime(self, e2, e3):
         with pytest.raises(ValueError):
-            FieldParams.from_exponents(3, 3)  # 215 = 5 * 43
+            FieldParams.from_exponents(e2, e3)
+
+    @pytest.mark.parametrize("e2,e3", [(4, 3), (216, 137)])  # toy431, p434
+    def test_accepts_bundled_primes(self, e2, e3):
+        assert is_probable_prime(FieldParams.from_exponents(e2, e3).p)
+
+    def test_prime_check_matches_trial_division(self):
+        def trial_division(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(10**5) if is_probable_prime(n) != trial_division(n)] == []
+
+    def test_lucas_half_admits_only_strong_lucas_pseudoprimes(self):
+        """Below 10^5 the strong Lucas test (Selfridge parameters) passes
+        exactly the primes and the known strong Lucas pseudoprimes (OEIS
+        A217255), so it is exercised on its own too."""
+        slpsp = {5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439}
+        for n in range(41, 10**5, 2):
+            if any(n % q == 0 for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+                continue
+            assert _strong_lucas_probable_prime(n) == (is_probable_prime(n) or n in slpsp), n
+
+    def test_rejects_composites_that_fool_small_bases(self):
+        assert not is_probable_prime(3825123056546413051)  # strong psp to bases 2..23
+        # a strong pseudoprime to every base 2..37: only the Lucas half rejects it
+        assert not is_probable_prime(318665857834031151167461)
+        p = FieldParams.from_exponents(216, 137).p
+        assert not is_probable_prime(p * p)
 
     def test_rejects_mismatched_p(self):
         with pytest.raises(ValueError):

@@ -298,6 +298,18 @@ class TestStrategies:
         assert validate_strategy([2, 1], 3)
         assert validate_strategy([1, 1], 3)
 
+    @pytest.mark.parametrize("bad", [[0, 1], [-1, 1], [2, 2], [1, 3]])
+    def test_evaluators_reject_bad_strategies(self, toy, bad):
+        """A malformed strategy raises before any isogeny is computed; a zero
+        entry would otherwise never advance the walk."""
+        coeff = toy.coeff0
+        xPB, _, _ = toy.basis_xpoints("bob")
+        xPA, _, _ = toy.basis_xpoints("alice")
+        with pytest.raises(StrategyError):
+            strategy_eval3(xPB, coeff, bad)
+        with pytest.raises(StrategyError):
+            strategy_eval4(xPA, coeff, bad)
+
     def test_n_below_one_rejected(self):
         with pytest.raises(ValueError):
             balanced_strategy(0)

@@ -214,8 +214,12 @@ class TestVictimUnawareness:
             proto.keygen,
             proto.derive,
             proto.derive_with_trace,
+            proto.chain_inputs,
+            proto.prefix_chain,
             iso.strategy_eval3,
             iso.strategy_eval4,
+            iso._walk,
+            iso._schedule,
             iso.xisog3,
             iso.xeval3,
             iso.xisog4,
