@@ -1,5 +1,6 @@
 """Adaptive trit-by-trit recovery of the victim's static 3-power private key
-from the fault oracle.
+from the fault oracle, or from a naive GF(p)-reject's accept/reject bit with
+no faults (Galbraith, Petit, Shani and Ti, https://eprint.iacr.org/2016/859).
 
 Per recovered prefix sk and position i, the forger builds a public key that
 makes the victim's first i derive steps walk BACKWARD along the honest chain
@@ -227,6 +228,78 @@ def recover_key(
         raise OracleContradictionError("no top trit reproduces the public key")
     state.sk += top * 3 ** (params.e3 - 1)
     return state
+
+
+def faultless_attack(
+    params: SidhParams,
+    reject_oracle: Callable[[PublicKey], bool],
+    bob_pk: PublicKey,
+    rng: random.Random,
+) -> int:
+    """Key recovery against the naive GF(p)-reject using only accept/reject.
+
+    Guess trit t by sending the instance that backtracks one step further,
+    forge(prefix + t*3^i, i + 1): the walk reaches the A = 6 curve at step
+    i+1 exactly when the guess is right, so a rejection confirms it.  Guess
+    0 first, then 1 (rejection -> 1, acceptance -> 2).  No fault injections
+    anywhere.
+
+    Tiny fields add a wrinkle: an honest intermediate curve that already
+    lies in GF(p) makes every instance for that position reject, so the
+    oracle carries no information there.  A final verification catches the
+    mis-read, the ambiguous positions are re-probed with all three guesses,
+    and the leftover space is enumerated against the public key.
+    """
+    prefix = 0
+    for i in range(params.e3 - 1):
+        if reject_oracle(forge_public_keys(params, prefix, i + 1, rng).pk):
+            trit = 0
+        elif reject_oracle(forge_public_keys(params, prefix + 3**i, i + 1, rng).pk):
+            trit = 1
+        else:
+            trit = 2
+        prefix += trit * 3**i
+
+    top = 3 ** (params.e3 - 1)
+
+    def complete(prefix: int) -> Optional[int]:
+        t = _last_trit(params, prefix, bob_pk)
+        return None if t is None else prefix + t * top
+
+    sk = complete(prefix)
+    if sk is not None:
+        return sk
+
+    # Stage 2: a correct guess ALWAYS rejects (the walk provably reaches the
+    # A = 6 curve), so the true trit is in every position's reject set;
+    # accidental GF(p) visits only add false branches.  Depth-first search
+    # over rejecting guesses, pruning branches where nothing rejects, and
+    # giving up after 3^8 branches.
+    budget = [3**8]
+
+    def dfs(prefix: int, i: int) -> Optional[int]:
+        if i == params.e3 - 1:
+            return complete(prefix)
+        rejected = []
+        for t in range(3):
+            inst = forge_public_keys(params, prefix + t * 3**i, i + 1, rng)
+            if reject_oracle(inst.pk):
+                rejected.append(t)
+        if not rejected:
+            return None  # the true guess would have rejected: wrong branch
+        for t in rejected:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise OracleContradictionError("search budget exhausted")
+            found = dfs(prefix + t * 3**i, i + 1)
+            if found is not None:
+                return found
+        return None
+
+    sk = dfs(0, 0)
+    if sk is None:
+        raise OracleContradictionError("no completion matches the public key")
+    return sk
 
 
 def _last_trit(params: SidhParams, prefix: int, bob_pk: PublicKey) -> Optional[int]:

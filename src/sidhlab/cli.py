@@ -21,7 +21,8 @@ import click
 
 from . import attack as attack_mod
 from . import countermeasure as cm
-from .faultsim import make_oracle
+from .faultsim import make_oracle, oracle_randomized
+from .montgomery import xpoint_in_fp
 from .protocol import (
     ALICE,
     BOB,
@@ -207,12 +208,10 @@ def countermeasure_bench(params_arg, k, trials, seed, json_out):
         prefix = skb % 3**i
         forged = attack_mod.forge_public_keys(ps, prefix, i, rng)
         cands = attack_mod.candidate_kernels(ps, prefix, i, forged)
-        from .montgomery import xpoint_in_fp
-
         if not xpoint_in_fp(cands[(skb // 3**i) % 3]):
             continue  # only instances whose unmasked verdict is 1 are informative
         total += 1
-        hits += cm.oracle_randomized(ps, skb, forged.pk, i, cfg, rng)
+        hits += oracle_randomized(ps, skb, forged.pk, i, cfg, rng)
 
     out = {
         "param_set": ps.name,

@@ -1,4 +1,5 @@
-"""The fault oracle: run the victim's derive with one injected coefficient
+"""The fault oracles: run the victim's derive, plain (oracle) or masked by the
+randomized pushforward (oracle_randomized), with one injected coefficient
 zeroing and report whether the chain still looks supersingular.
 
 The verdict combines (a) the per-step kernel order checks the chain evaluator
@@ -6,6 +7,7 @@ already performs (a faulted coefficient outside GF(p) derails the very next
 kernel) and (b) a final-curve spot check that three random on-curve points
 are annihilated by p + 1.  Honest GF(p)-coefficient faults are literal
 no-ops, so the whole run, including the final j-invariant, is unchanged.
+Both oracles map every malformed public key to bit 0.
 """
 
 from __future__ import annotations
@@ -15,29 +17,46 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .countermeasure import PushforwardConfig, two_power_walk
 from .field import Fp2Field
-from .isogeny import ChainTrace, FaultHook
+from .isogeny import ChainTrace, FaultHook, strategy_eval3
 from .montgomery import (
     DegenerateCoefficientError,
     MontgomeryCurve,
+    ProjCoeff,
+    SamplingExhaustedError,
+    SingularCurveError,
     affine_a_from_projective,
     coeff_from_a,
     coeff_in_fp,
+    ladder3pt,
     xdbl_e,
     xpoint_from_affine,
     xtpl_e,
 )
 from .protocol import (
     BOB,
+    DegenerateChainError,
     InconsistentPublicKeyError,
     PublicKey,
     SidhParams,
     chain_inputs,
     derive_with_trace,
     prefix_chain,
+    sample_torsion_x,
 )
 
 SPOT_CHECK_POINTS = 3
+
+# What a malformed pk can raise before the faulted 3-chain: no curve carries
+# the triple, or the curve is singular or cannot be masked.  Each gives bit 0.
+MALFORMED_PK_ERRORS = (
+    InconsistentPublicKeyError,
+    SingularCurveError,
+    SamplingExhaustedError,
+    DegenerateChainError,
+    ZeroDivisionError,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,36 +75,64 @@ def oracle(
     pk: PublicKey,
     i: int,
     keep_trace: bool = False,
-    seed: Optional[int] = None,
 ) -> OracleVerdict:
     """O_sk(pk, i): victim derive with the (i+1)-th 3-isogeny output
     coefficient's imaginary parts zeroed.
 
-    Every malformed pk maps to bit 0 with diagnostics; only an out-of-range
-    i is rejected up front.  Deterministic: the spot-check randomness is
-    derived from (pk, i) unless an explicit seed is supplied.
+    Every malformed pk maps to bit 0 with failure_step -1; only an
+    out-of-range i (and, from derive, an out-of-range sk) is rejected.
+    Deterministic: the spot-check randomness is derived from (pk, i).
     """
-    if not 0 <= i <= params.e3 - 2:
-        raise ValueError(f"fault index {i} outside [0, e3 - 2]")
-    hook = FaultHook(target_index=i)
+    hook = _fault_hook(params, i)
     try:
         final, trace = derive_with_trace(params, BOB, sk_bob, pk, hook)
-    except (InconsistentPublicKeyError, ZeroDivisionError):
+    except MALFORMED_PK_ERRORS:
         return OracleVerdict(bit=0, failure_step=-1)
+    bit, failure_step = _verdict(params, final, trace, random.Random(_spot_seed(params, pk, i)))
+    return OracleVerdict(bit, failure_step, trace if keep_trace else None)
+
+
+def oracle_randomized(
+    params: SidhParams,
+    sk: int,
+    pk: PublicKey,
+    i: int,
+    config: PushforwardConfig,
+    rng: random.Random,
+) -> int:
+    """The fault oracle's bit against a responder running the randomized
+    pushforward: the hook fires inside the masked 3-chain, and the masking
+    kernel and the spot-check points are drawn from rng.  Used to measure
+    how the masking degrades the forger's success rate."""
+    hook = _fault_hook(params, i)
+    k, F = config.k, params.field
+    try:
+        coeff, *triple = chain_inputs(pk, F)
+        E_A = MontgomeryCurve(affine_a_from_projective(coeff), F)
+        if k > 0:
+            R = sample_torsion_x(params, E_A, 2, k, rng)
+            coeff, triple = two_power_walk(R, coeff, k, triple, F)
+    except MALFORMED_PK_ERRORS:
+        return 0
+    kernel = ladder3pt(sk, *triple, coeff)
+    final, _, trace = strategy_eval3(kernel, coeff, params.strategy3, (), hook)
+    return _verdict(params, final, trace, rng)[0]
+
+
+def _fault_hook(params: SidhParams, i: int) -> FaultHook:
+    if not 0 <= i <= params.e3 - 2:
+        raise ValueError(f"fault index {i} outside [0, e3 - 2]")
+    return FaultHook(target_index=i)
+
+
+def _verdict(params: SidhParams, final: ProjCoeff, trace: ChainTrace, rng: random.Random) -> tuple:
+    """(bit, failure_step) of a faulted run: bit 0 at the step whose kernel
+    failed its order check; otherwise the spot check on the final curve."""
     if not trace.completed:
-        return OracleVerdict(
-            bit=0,
-            failure_step=trace.degenerate_at,
-            trace=trace if keep_trace else None,
-        )
-    if seed is None:
-        seed = _spot_seed(params, pk, i)
-    good = _supersingular_spot_check(params, final, random.Random(seed))
-    return OracleVerdict(
-        bit=1 if good else 0,
-        failure_step=None if good else params.e3,
-        trace=trace if keep_trace else None,
-    )
+        return 0, trace.degenerate_at
+    if _supersingular_spot_check(params, final, rng):
+        return 1, None
+    return 0, params.e3
 
 
 def make_oracle(params: SidhParams, sk_bob: int) -> Callable[[PublicKey, int], int]:

@@ -171,9 +171,6 @@ class Fp2:
         d = _invert(norm, p)  # ZeroDivisionError for norm == 0
         return Fp2._raw((self.re * d) % p, (-self.im * d) % p, p)
 
-    def conj(self) -> "Fp2":
-        return Fp2._raw(self.re, -self.im % self.p, self.p)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -200,7 +197,6 @@ class Fp2Field:
         self.p = _mpz(params.p)
         self.zero = Fp2(0, 0, self.p)
         self.one = Fp2(1, 0, self.p)
-        self.gen_i = Fp2(0, 1, self.p)
         self._nbytes = (params.p.bit_length() + 7) // 8
 
     def __call__(self, re, im=0) -> Fp2:
@@ -217,9 +213,6 @@ class Fp2Field:
                 return x
 
     # --- base-field helpers -------------------------------------------------
-
-    def in_base_field(self, x: Fp2) -> bool:
-        return x.im == 0
 
     def _legendre(self, v) -> int:
         """Legendre symbol of v in GF(p): 1, -1, or 0."""

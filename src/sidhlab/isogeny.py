@@ -222,20 +222,20 @@ def validate_strategy(strategy: Sequence[int], n: int) -> bool:
     return True
 
 
-def balanced_strategy(n: int, cost_mul: float = 1.0, cost_isog: float = 1.0) -> list[int]:
-    """Minimum-cost strategy for an n-leaf chain under the usual recursion:
-    splitting at b costs C(n-b) + C(b) + b*cost_mul + (n-b)*cost_isog.
+def balanced_strategy(n: int) -> list[int]:
+    """Minimum-cost strategy for an n-leaf chain under the usual recursion
+    with unit weights: splitting at b costs C(n-b) + C(b) + b + (n-b).
 
     Ties break toward the smallest split so runs are reproducible.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
     S: dict[int, list[int]] = {1: []}
-    C: dict[int, float] = {1: 0.0}
+    C: dict[int, int] = {1: 0}
     for size in range(2, n + 1):
         best_b, best_cost = None, None
         for b in range(1, size):
-            cost = C[size - b] + C[b] + b * cost_mul + (size - b) * cost_isog
+            cost = C[size - b] + C[b] + size
             if best_cost is None or cost < best_cost:
                 best_b, best_cost = b, cost
         S[size] = [best_b] + S[size - best_b] + S[best_b]

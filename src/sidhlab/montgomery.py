@@ -342,9 +342,6 @@ class MontgomeryCurve:
     def coeff(self) -> ProjCoeff:
         return coeff_from_a(self.A, self.field)
 
-    def j(self) -> Fp2:
-        return j_invariant(self.A, self.field)
-
     def rhs(self, x: Fp2) -> Fp2:
         return x * x.sqr() + self.A * x.sqr() + x
 
@@ -412,7 +409,6 @@ def sample_point_of_order(
     curve: MontgomeryCurve,
     d: int,
     rng: random.Random,
-    max_tries: int = 1000,
 ) -> FullPoint:
     """A uniform-ish point of exact order d on the curve (not its twist).
 
@@ -433,7 +429,7 @@ def sample_point_of_order(
     if (p + 1) % d != 0:
         raise ValueError("order does not divide p + 1")
     cofactor = (p + 1) // d
-    for _ in range(max_tries):
+    for _ in range(1000):
         x = curve.field.random_element(rng)
         rhs = curve.rhs(x)
         if not curve.field.is_square(rhs):
@@ -444,4 +440,4 @@ def sample_point_of_order(
             continue
         if not curve.scalar_mul(d // ell, Q).infinity:
             return Q
-    raise SamplingExhaustedError(f"no point of order {d} after {max_tries} tries")
+    raise SamplingExhaustedError(f"no point of order {d} after 1000 tries")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from importlib.resources import files
 from typing import Optional, Sequence
 
 from .field import FieldParams, Fp2, Fp2Field
@@ -209,9 +210,9 @@ def prefix_chain(
     kernel [3^(e3-i)](P + [sk_prefix]Q) from inputs = (coeff, x(P), x(Q),
     x(P - Q)), pushing the given points; strategy_eval3's result shape."""
     coeff, xP, xQ, xD = inputs
-    kernel = xtpl_e(ladder3pt(sk_prefix, xP, xQ, xD, coeff), coeff, params.e3 - i)
     if i == 0:
         return coeff, list(push), ChainTrace(coeffs=[coeff])
+    kernel = xtpl_e(ladder3pt(sk_prefix, xP, xQ, xD, coeff), coeff, params.e3 - i)
     return strategy_eval3(kernel, coeff, balanced_strategy(i), push)
 
 
@@ -312,7 +313,6 @@ def param_gen(
     e3: int,
     rng: random.Random,
     name: Optional[str] = None,
-    max_tries: int = 1000,
 ) -> SidhParams:
     """Search a full parameter set over p = 2^e2 * 3^e3 - 1 (must be prime).
 
@@ -326,7 +326,7 @@ def param_gen(
     p = fp.p
 
     def sample_alice(want_zero_below: bool):
-        for _ in range(max_tries):
+        for _ in range(1000):
             P = sample_point_of_order(E, 1 << e2, rng)
             below = E.scalar_mul(1 << (e2 - 1), P)
             if below.x.is_zero() == want_zero_below:
@@ -342,7 +342,7 @@ def param_gen(
         because its rhs has square norm, and the whole multiple tower then
         stays at GF(p) x-coordinates."""
         d = 3**e3
-        for _ in range(max_tries):
+        for _ in range(1000):
             x = F(rng.randrange(p))
             rhs = E.rhs(x)
             if rhs.is_zero():
@@ -356,7 +356,7 @@ def param_gen(
         raise SamplingExhaustedError("no suitable 3-power basis point")
 
     d3 = 3 ** (e3 - 1)
-    for _ in range(max_tries):
+    for _ in range(1000):
         PB = sample_bob_fp_x()
         QB = sample_bob_fp_x()
         if E.scalar_mul(d3, PB).x == E.scalar_mul(d3, QB).x:
@@ -436,8 +436,6 @@ def loads_params(text: str) -> SidhParams:
 
 def bundled_params(name: str) -> SidhParams:
     """Load one of the parameter sets shipped with the package."""
-    from importlib.resources import files
-
     path = files("sidhlab").joinpath(f"params/{name}.txt")
     if not path.is_file():
         raise FileNotFoundError(f"no bundled parameter set named {name!r}")

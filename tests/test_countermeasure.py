@@ -2,19 +2,18 @@ import random
 
 import pytest
 
-from sidhlab.attack import candidate_kernels, forge_public_keys
+from sidhlab.attack import candidate_kernels, faultless_attack, forge_public_keys
 from sidhlab.countermeasure import (
     NaiveRejectOutcome,
     PushforwardConfig,
     derive_bob_naive_reject,
     derive_bob_randomized,
-    faultless_attack,
     make_reject_oracle,
-    oracle_randomized,
     xeval2,
     xisog2,
     xisog2_zero,
 )
+from sidhlab.faultsim import oracle_randomized
 from sidhlab.montgomery import (
     MontgomeryCurve,
     affine_a_from_projective,

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from sidhlab.attack import forge_public_keys
-from sidhlab.countermeasure import PushforwardConfig, oracle_randomized
+from sidhlab.countermeasure import PushforwardConfig
 from sidhlab.faultsim import (
     debug_assert_forced_curve,
     dump_chain_trace,
     make_oracle,
     oracle,
+    oracle_randomized,
 )
 from sidhlab.montgomery import affine_a_from_projective, coeff_in_fp
 from sidhlab.protocol import ALICE, BOB, PublicKey, derive_with_trace, get_a, j_invariant, keygen
@@ -45,6 +46,19 @@ class TestOracleContract:
         assert oracle(toy, 5, pk, 0).bit == 0
         for k in (0, 1, 2):
             assert oracle_randomized(toy, 5, pk, 0, PushforwardConfig(k), random.Random(k)) == 0
+
+    def test_random_triples_give_a_bit_at_every_masking_degree(self, toy):
+        """Random triples are almost all malformed keys (no supersingular
+        curve, no 2^k-torsion to mask with): each gives bit 0 or 1 and
+        never raises, masked or not."""
+        F = toy.field
+        triples_rng = random.Random(5)
+        pks = [PublicKey(*(F.random_element(triples_rng) for _ in range(3))) for _ in range(200)]
+        rng = random.Random(6)
+        for pk in pks:
+            assert oracle(toy, 5, pk, 0).bit in (0, 1)
+            for k in (0, 1, 2):
+                assert oracle_randomized(toy, 5, pk, 0, PushforwardConfig(k), rng) in (0, 1)
 
     def test_deterministic(self, toy, rng):
         forged = forge_public_keys(toy, 2, 1, rng)

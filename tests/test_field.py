@@ -18,7 +18,7 @@ class TestBasics:
         assert F431(1, 1) * F431(1, -1) == F431(2)
 
     def test_defining_relation(self, F431):
-        assert F431.gen_i * F431.gen_i == F431(P - 1)
+        assert F431(0, 1) * F431(0, 1) == F431(P - 1)
 
     def test_square_against_schoolbook(self, F431):
         # (3 + 5i)^2, expanded by hand over the integers mod 431
@@ -29,7 +29,7 @@ class TestBasics:
 
     def test_inverse_trivial(self, F431):
         assert F431.one.inv() == F431.one
-        assert F431.gen_i.inv() == -F431.gen_i  # i * (-i) = 1
+        assert F431(0, 1).inv() == -F431(0, 1)  # i * (-i) = 1
 
     def test_inverse_random(self, F431, rng):
         for _ in range(200):
@@ -39,11 +39,6 @@ class TestBasics:
     def test_inversion_of_zero(self, F431):
         with pytest.raises(ZeroDivisionError):
             F431.zero.inv()
-
-    def test_in_base_field(self, F431):
-        assert F431.in_base_field(F431(6))
-        assert not F431.in_base_field(F431(0, 1))
-        assert F431.in_base_field(F431.zero)
 
 
 class TestSquares:
@@ -140,7 +135,7 @@ class TestFieldAxioms:
             return acc
 
         assert powi(x, P * P) == x
-        assert (powi(x, P) == x) == F431.in_base_field(x)
+        assert (powi(x, P) == x) == (x.im == 0)
 
 
 class TestSerialization:

@@ -78,13 +78,12 @@ class TestIsogeny3:
     def test_first_bob_codomain_over_fp(self, toy):
         """The 3-isogeny built from the GF(p)-x kernel below the public basis
         lands on a GF(p) coefficient."""
-        F = toy.field
         coeff = toy.coeff0
         xP, _, _ = toy.basis_xpoints("bob")
         K = xtpl_e(xP, coeff, toy.e3 - 1)
         step = xisog3(K)
         assert coeff_in_fp(step.new_coeff)
-        assert F.in_base_field(affine_a_from_projective(step.new_coeff))
+        assert affine_a_from_projective(step.new_coeff).im == 0
 
     def test_dual_kernel_returns_to_domain_j(self, F431, E, rng):
         """For kernel <K> with E[3] = <K, Q>: the 3-isogeny from the codomain
@@ -96,7 +95,7 @@ class TestIsogeny3:
         step = xisog3(E.xpoint(K))
         imgQ = xeval3(E.xpoint(Q), step)
         back = xisog3(imgQ)
-        assert j_invariant(affine_a_from_projective(back.new_coeff), F431) == E.j()
+        assert j_invariant(affine_a_from_projective(back.new_coeff), F431) == j_invariant(E.A, F431)
 
 
 class TestIsogeny4:
@@ -176,7 +175,7 @@ class TestStrategyEval:
         E = toy.curve
         R = sample_point_of_order(E, 27, rng)
         f1, _, _ = strategy_eval3(E.xpoint(R), toy.coeff0, [1, 1])
-        f2, _, _ = strategy_eval3(E.xpoint(R), toy.coeff0, balanced_strategy(3, 2.0, 1.0))
+        f2, _, _ = strategy_eval3(E.xpoint(R), toy.coeff0, [2, 1])
         F = toy.field
         assert j_invariant(affine_a_from_projective(f1), F) == j_invariant(
             affine_a_from_projective(f2), F
@@ -286,10 +285,6 @@ class TestStrategies:
     @pytest.mark.parametrize("n", [3, 5, 21, 108, 137])
     def test_validity(self, n):
         assert validate_strategy(balanced_strategy(n), n)
-
-    @pytest.mark.parametrize("weights", [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (0.5, 3.0)])
-    def test_validity_under_weights(self, weights):
-        assert validate_strategy(balanced_strategy(60, *weights), 60)
 
     def test_rejects_bad_strategies(self):
         assert not validate_strategy([1], 3)  # wrong length

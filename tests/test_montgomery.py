@@ -157,14 +157,14 @@ class TestCoefficientForms:
                 coeff = ProjCoeff(F431.random_element(rng), F431.random_element(rng))
             if (coeff.alpha - coeff.beta).is_zero():
                 continue
-            expected = F431.in_base_field(affine_a_from_projective(coeff))
+            expected = affine_a_from_projective(coeff).im == 0
             assert coeff_in_fp(coeff) == expected
 
 
 class TestXPointMembership:
     def test_examples(self, F431):
         assert xpoint_in_fp(XPoint(F431(5), F431.one))
-        assert not xpoint_in_fp(XPoint(F431.gen_i, F431.one))
+        assert not xpoint_in_fp(XPoint(F431(0, 1), F431.one))
         assert xpoint_in_fp(xpoint_infinity(F431))
 
     def test_scaling_invariance(self, F431, rng):
