@@ -9,38 +9,47 @@ for sk, landing exactly on the starting A = 6 curve at step i.  The victim's
 fault verdict reveals which GF(p)-membership class it fell in; at most one
 extra instance (a basis shift by [3^i]Q') pins the trit down.
 
+The forger's own copy of the honest chain's first i steps (PrefixWalk) is
+carried from trit to trit: each recovered trit costs one forward 3-isogeny
+and that step's dual, which is the very step the victim's backtracking walk
+takes.  Forging reads E_i and phi(Q) off the walk, and the candidate kernels
+push the forged triple back to the A = 6 curve through the cached duals, so
+no trit re-walks the chain from E_0.
+
 Sign discipline: public keys carry x-coordinates only, so every scalar
-combination here runs through the three-point ladder seeded with a genuine
-difference x-coordinate.  The only y-coordinates ever recovered are for the
-forger's own auxiliary point T against phi(Q) (one square root each); their
-signs are arbitrary and cancel, which the sign-robustness test pins down.
+combination here runs through the three-point ladder or differential
+additions seeded with a genuine difference x-coordinate.  The only
+y-coordinates ever recovered are for the forger's own auxiliary point T
+against phi(Q) (one square root each); their signs are arbitrary and
+cancel, which the sign-robustness test pins down.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .field import Fp2
+from .isogeny import strategy_eval3, xeval3, xisog3
 from .montgomery import (
     MontgomeryCurve,
+    ProjCoeff,
     XPoint,
     affine_a_from_projective,
-    coeff_from_a,
     ladder3pt,
     x_affine,
+    xadd,
     xpoint_from_affine,
     xpoint_in_fp,
+    xtpl,
     xtpl_e,
 )
 from .protocol import (
     BOB,
     PublicKey,
     SidhParams,
-    chain_inputs,
     keygen,
-    prefix_chain,
     sample_torsion_x,
 )
 
@@ -75,24 +84,98 @@ class AttackState:
         return sum(self.calls_per_trit)
 
 
+class PrefixWalk(NamedTuple):
+    """The forger's copy of the first i steps of Bob's chain for a key
+    = sk mod 3^i, carried from trit to trit.
+
+    It holds E_i (coeff and its affine A), the x-points a = phi_i(P + [sk]Q),
+    b = phi_i([3^i]Q), d = a - b, q = phi_i(Q) and q3 = phi_i([3^(e3-1)]Q),
+    and per forward step E_j -> E_(j+1) its dual E_(j+1) -> E_j: the
+    3-isogeny with kernel <q3> there, which lands on E_j's exact model.
+    The victim's backtracking walk on a forged key takes these dual steps.
+    """
+
+    params: SidhParams
+    sk: int
+    i: int
+    coeff: ProjCoeff
+    A: Fp2
+    a: XPoint
+    b: XPoint
+    d: XPoint
+    q: XPoint
+    q3: XPoint
+    duals: tuple
+
+    @classmethod
+    def start(cls, params: SidhParams) -> "PrefixWalk":
+        """The empty walk on E_0, the A = 6 curve."""
+        xP, xQ, xD = params.basis_xpoints(BOB)
+        coeff = params.coeff0
+        q3 = xtpl_e(xQ, coeff, params.e3 - 1)
+        return cls(params, 0, 0, coeff, params.field(6), xP, xQ, xD, xQ, q3, ())
+
+    def step(self, trit: int) -> "PrefixWalk":
+        """The walk one step further, for the next trit of the key.
+
+        Raises OracleContradictionError when the step's kernel fails its
+        order check or its dual misses E_i's model.
+        """
+        a, b, d = self.a, self.b, self.d
+        # a <- a + [trit]b and d <- a - [3]b for the new a
+        if trit == 0:
+            d = xadd(xadd(d, b, a), b, d)  # a - 2b, then a - 3b
+        elif trit == 1:
+            a, d = xadd(a, b, d), xadd(d, b, a)  # a + b and a - 2b
+        elif trit == 2:
+            a = xadd(xadd(a, b, d), b, a)  # a + b, then a + 2b; d = a - b stays
+        else:
+            raise ValueError(f"trit {trit} outside 0..2")
+        b = xtpl(b, self.coeff)
+        kernel = xtpl_e(a, self.coeff, self.params.e3 - self.i - 1)
+        coeff, pushed, trace = strategy_eval3(kernel, self.coeff, [], [a, b, d, self.q, self.q3])
+        if not trace.completed:
+            raise OracleContradictionError(f"attacker chain degenerate at step {self.i}")
+        dual = xisog3(pushed[-1])  # kernel <q3> on the new curve
+        if affine_a_from_projective(dual.new_coeff) != self.A:
+            raise OracleContradictionError(f"dual of step {self.i} misses the model of E_{self.i}")
+        return PrefixWalk(
+            self.params,
+            self.sk + trit * 3**self.i,
+            self.i + 1,
+            coeff,
+            affine_a_from_projective(coeff),
+            *pushed,
+            self.duals + (dual,),
+        )
+
+
+def prefix_walk(params: SidhParams, sk_prefix: int, i: int) -> PrefixWalk:
+    """The walk for any key = sk_prefix mod 3^i, stepped trit by trit from E_0."""
+    walk = PrefixWalk.start(params)
+    for j in range(i):
+        walk = walk.step(sk_prefix // 3**j % 3)
+    return walk
+
+
 def forge_public_keys(
-    params: SidhParams,
-    sk_prefix: int,
-    i: int,
+    walk: PrefixWalk,
     rng: random.Random,
     negate_phi_q: bool = False,
 ) -> ForgedKeys:
-    """Build the two adaptive instances for trit i given a correct prefix.
+    """Build the two adaptive instances for trit i = walk.i given a correct
+    prefix sk = walk.sk.
 
     For i = 0 the instances are the plain basis (P, Q, P-Q) and its shift
-    (P+Q, Q, P).  For i >= 1: walk phi: E -> E_i with kernel
-    [3^(e3-i)](P + [sk_prefix]Q), find T of order 3^e3 on E_i independent of
-    phi(Q) at the order-3 level, and emit the triples for P' = phi(Q) +
-    [sk_prefix]T, Q' = -T and for the [3^i]Q'-shifted second instance.
+    (P+Q, Q, P).  For i >= 1, on the walk's E_i: find T of order 3^e3
+    independent of phi(Q) at the order-3 level, and emit the triples for
+    P' = phi(Q) + [sk]T, Q' = -T and for the [3^i]Q'-shifted second
+    instance.
 
     negate_phi_q flips the recovered sign of phi(Q); it exists to exercise
     the sign-robustness property and must not change any verdict.
     """
+    params, sk_prefix, i = walk.params, walk.sk, walk.i
     F = params.field
     if i == 0:
         E = params.curve
@@ -104,20 +187,12 @@ def forge_public_keys(
         pk_second = PublicKey(E.add(P, Q).x, params.xQB, params.xPB)
         return ForgedKeys(pk=pk, pk_second=pk_second)
 
-    basis = params.basis_xpoints(BOB)
-    final, pushed, trace = prefix_chain(params, sk_prefix, i, (params.coeff0, *basis), [basis[1]])
-    if not trace.completed:
-        raise OracleContradictionError(f"attacker chain degenerate at step {trace.degenerate_at}")
-    A_i = affine_a_from_projective(final)
-    E_i = MontgomeryCurve(A_i, F)
-    coeff_i = coeff_from_a(A_i, F)
-    x_phiq = x_affine(pushed[0])
-    xq_pt = xpoint_from_affine(x_phiq, F)
-    anchor_x = x_affine(xtpl_e(xq_pt, coeff_i, params.e3 - 1))
+    E_i = MontgomeryCurve(walk.A, F)
+    coeff_i = E_i.coeff()
     # exact order 3^e3, independent of phi(Q) at the order-3 level
-    x_t = x_affine(sample_torsion_x(params, E_i, 3, params.e3, rng, avoid=anchor_x))
+    x_t = x_affine(sample_torsion_x(params, E_i, 3, params.e3, rng, avoid=x_affine(walk.q3)))
 
-    phi_q = E_i.lift_x(x_phiq)
+    phi_q = E_i.lift_x(x_affine(walk.q))
     if negate_phi_q:
         phi_q = E_i.negate(phi_q)
     t_full = E_i.lift_x(x_t)
@@ -130,7 +205,7 @@ def forge_public_keys(
 
     def combo(m: int, diff: XPoint) -> Fp2:
         # x(phiQ + [m]T) with diff = x(phiQ - T); x(phiQ - [m]T) with the sum
-        return x_affine(ladder3pt(m, xq_pt, xt_pt, diff, coeff_i))
+        return x_affine(ladder3pt(m, walk.q, xt_pt, diff, coeff_i))
 
     # P' = phiQ + [sk]T, Q' = -T: the triple is (P', Q', P' + T)
     pk = PublicKey(combo(sk_prefix, dif_pt), x_t, combo(sk_prefix + 1, dif_pt))
@@ -140,31 +215,26 @@ def forge_public_keys(
     return ForgedKeys(pk=pk, pk_second=pk_second)
 
 
-def candidate_kernels(
-    params: SidhParams,
-    sk_prefix: int,
-    i: int,
-    forged: ForgedKeys,
-) -> tuple:
+def candidate_kernels(walk: PrefixWalk, forged: ForgedKeys) -> tuple:
     """The three possible (i+1)-th kernels of the victim, as x-points on the
     A = 6 curve, labeled by trit: candidates[t] = the victim's kernel when
     s_i = t and forged.pk was sent.
 
-    Computed by replaying the victim's backtracking walk on forged.pk (its
-    kernel [3^(e3-i)](P' + [sk_prefix]Q') is known to the forger), pushing
-    the whole pk triple through, then laddering [3^(e3-1-i)](P~ + [k_t]Q~)
-    with k_t = sk_prefix + t*3^i on the landing curve.
+    The victim's first i steps on forged.pk have kernel [3^(e3-i)]phi(Q),
+    so they are the walk's dual steps: the pk triple is pushed back through
+    them to the A = 6 curve, where the candidates are
+    [3^(e3-1-i)](P~ + [k_t]Q~) with k_t = sk + t*3^i.
     """
-    inputs = chain_inputs(forged.pk, params.field)
-    final, (pP, pQ, pD), trace = prefix_chain(params, sk_prefix, i, inputs, inputs[1:])
-    if not trace.completed:
-        raise OracleContradictionError(f"attacker chain degenerate at step {trace.degenerate_at}")
+    params, i = walk.params, walk.i
+    F = params.field
+    pts = [xpoint_from_affine(x, F) for x in (forged.pk.xP, forged.pk.xQ, forged.pk.xPQ)]
+    for dual in reversed(walk.duals):
+        pts = [xeval3(pt, dual) for pt in pts]
+    coeff = params.coeff0
     down = params.e3 - 1 - i
-    cands = []
-    for t in range(3):
-        k_t = sk_prefix + t * 3**i
-        cands.append(xtpl_e(ladder3pt(k_t, pP, pQ, pD, final), final, down))
-    forged.candidates = tuple(cands)
+    forged.candidates = tuple(
+        xtpl_e(ladder3pt(walk.sk + t * 3**i, *pts, coeff), coeff, down) for t in range(3)
+    )
     return forged.candidates
 
 
@@ -212,9 +282,10 @@ def recover_key(
     The oracle wraps the fixed static key and returns the verdict bit.
     """
     state = AttackState()
+    walk = PrefixWalk.start(params)
     for i in range(params.e3 - 1):
-        forged = forge_public_keys(params, state.sk, i, rng)
-        cands = candidate_kernels(params, state.sk, i, forged)
+        forged = forge_public_keys(walk, rng)
+        cands = candidate_kernels(walk, forged)
         memberships = tuple(xpoint_in_fp(c) for c in cands)
         verdicts = [oracle(forged.pk, i)]
         trit, calls = infer_trit(memberships, verdicts)
@@ -223,6 +294,8 @@ def recover_key(
             trit, calls = infer_trit(memberships, verdicts)
         state.sk += trit * 3**i
         state.calls_per_trit.append(calls)
+        if i < params.e3 - 2:
+            walk = walk.step(trit)
     top = _last_trit(params, state.sk, bob_pk)
     if top is None:
         raise OracleContradictionError("no top trit reproduces the public key")
@@ -250,15 +323,15 @@ def faultless_attack(
     mis-read, the ambiguous positions are re-probed with all three guesses,
     and the leftover space is enumerated against the public key.
     """
-    prefix = 0
-    for i in range(params.e3 - 1):
-        if reject_oracle(forge_public_keys(params, prefix, i + 1, rng).pk):
-            trit = 0
-        elif reject_oracle(forge_public_keys(params, prefix + 3**i, i + 1, rng).pk):
-            trit = 1
+    walk = PrefixWalk.start(params)
+    for _ in range(params.e3 - 1):
+        for trit in (0, 1):
+            guess = walk.step(trit)
+            if reject_oracle(forge_public_keys(guess, rng).pk):
+                break
         else:
-            trit = 2
-        prefix += trit * 3**i
+            guess = walk.step(2)
+        walk = guess
 
     top = 3 ** (params.e3 - 1)
 
@@ -266,7 +339,7 @@ def faultless_attack(
         t = _last_trit(params, prefix, bob_pk)
         return None if t is None else prefix + t * top
 
-    sk = complete(prefix)
+    sk = complete(walk.sk)
     if sk is not None:
         return sk
 
@@ -277,26 +350,23 @@ def faultless_attack(
     # giving up after 3^8 branches.
     budget = [3**8]
 
-    def dfs(prefix: int, i: int) -> Optional[int]:
-        if i == params.e3 - 1:
-            return complete(prefix)
-        rejected = []
-        for t in range(3):
-            inst = forge_public_keys(params, prefix + t * 3**i, i + 1, rng)
-            if reject_oracle(inst.pk):
-                rejected.append(t)
+    def dfs(walk: PrefixWalk) -> Optional[int]:
+        if walk.i == params.e3 - 1:
+            return complete(walk.sk)
+        guesses = [walk.step(t) for t in range(3)]
+        rejected = [g for g in guesses if reject_oracle(forge_public_keys(g, rng).pk)]
         if not rejected:
             return None  # the true guess would have rejected: wrong branch
-        for t in rejected:
+        for guess in rejected:
             budget[0] -= 1
             if budget[0] < 0:
                 raise OracleContradictionError("search budget exhausted")
-            found = dfs(prefix + t * 3**i, i + 1)
+            found = dfs(guess)
             if found is not None:
                 return found
         return None
 
-    sk = dfs(0, 0)
+    sk = dfs(PrefixWalk.start(params))
     if sk is None:
         raise OracleContradictionError("no completion matches the public key")
     return sk

@@ -1,9 +1,11 @@
 """Command-line front door: parameter generation, honest keygen/derive, the
 fault-attack campaign runner, and the countermeasure bench.
 
-Reports are JSON-lines (one trial per line, aggregate summary last); exit
-status is 0 when every trial succeeded, 1 on any recovery mismatch, 2 for
-usage or I/O problems.
+Reports are JSON-lines (one trial per line, aggregate summary last).  A
+trial whose recovery raises OracleContradictionError or DegenerateChainError
+is reported with success false and the class name under "error", and the
+campaign goes on.  Exit status is 0 when every trial succeeded, 1 on any
+recovery mismatch or failed trial, 2 for usage or I/O problems.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .montgomery import xpoint_in_fp
 from .protocol import (
     ALICE,
     BOB,
+    DegenerateChainError,
     PublicKey,
     SidhParams,
     bundled_params,
@@ -50,9 +53,13 @@ class TrialReport:
     oracle_calls: int
     calls_histogram: dict
     duration_s: float
+    error: Optional[str] = None  # the exception class that ended a failed trial
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        fields = asdict(self)
+        if self.error is None:
+            del fields["error"]
+        return json.dumps(fields, sort_keys=True)
 
 
 def _load(params_arg: str) -> SidhParams:
@@ -99,8 +106,20 @@ def _run_trial(args) -> TrialReport:
     rng = random.Random(seed)
     sk = ps.sample_sk(BOB, rng)
     bob_pk = keygen(ps, BOB, sk)
+    oracle = make_oracle(ps, sk)
+    calls = 0
+
+    def counted(pk: PublicKey, i: int) -> int:
+        nonlocal calls
+        calls += 1
+        return oracle(pk, i)
+
     t0 = time.perf_counter()
-    state = attack_mod.recover_key(ps, make_oracle(ps, sk), bob_pk, rng)
+    try:
+        state = attack_mod.recover_key(ps, counted, bob_pk, rng)
+    except (attack_mod.OracleContradictionError, DegenerateChainError) as exc:
+        duration = time.perf_counter() - t0
+        return TrialReport(ps.name, seed, ps.e3, False, calls, {}, duration, type(exc).__name__)
     duration = time.perf_counter() - t0
     hist: dict = {}
     for c in state.calls_per_trit:
@@ -206,8 +225,9 @@ def countermeasure_bench(params_arg, k, trials, seed, json_out):
         skb = ps.sample_sk(BOB, rng)
         i = min(1, ps.e3 - 2)
         prefix = skb % 3**i
-        forged = attack_mod.forge_public_keys(ps, prefix, i, rng)
-        cands = attack_mod.candidate_kernels(ps, prefix, i, forged)
+        walk = attack_mod.prefix_walk(ps, prefix, i)
+        forged = attack_mod.forge_public_keys(walk, rng)
+        cands = attack_mod.candidate_kernels(walk, forged)
         if not xpoint_in_fp(cands[(skb // 3**i) % 3]):
             continue  # only instances whose unmasked verdict is 1 are informative
         total += 1

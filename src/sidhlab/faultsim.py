@@ -42,7 +42,6 @@ from .protocol import (
     SidhParams,
     chain_inputs,
     derive_with_trace,
-    prefix_chain,
     sample_torsion_x,
 )
 
@@ -175,16 +174,6 @@ def _supersingular_spot_check(params: SidhParams, coeff, rng: random.Random) -> 
             return False
         checked += 1
     return checked == SPOT_CHECK_POINTS
-
-
-def debug_assert_forced_curve(params: SidhParams, sk_prefix: int, pk: PublicKey, i: int) -> bool:
-    """Replay the victim's first i steps on pk (kernel [3^(e3-i)](P'+[sk]Q'),
-    which the forger arranged to be the backtracking walk) and confirm the
-    i-th codomain is exactly the A = 6 curve.  Test instrumentation only;
-    the oracle's verdict never calls this.
-    """
-    final, _, trace = prefix_chain(params, sk_prefix, i, chain_inputs(pk, params.field), ())
-    return trace.completed and affine_a_from_projective(final) == params.field(6)
 
 
 def dump_chain_trace(trace: ChainTrace, field: Fp2Field) -> str:

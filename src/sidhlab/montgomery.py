@@ -345,11 +345,6 @@ class MontgomeryCurve:
     def rhs(self, x: Fp2) -> Fp2:
         return x * x.sqr() + self.A * x.sqr() + x
 
-    def contains(self, P: FullPoint) -> bool:
-        if P.infinity:
-            return True
-        return P.y.sqr() == self.rhs(P.x)
-
     def lift_x(self, x: Fp2) -> FullPoint:
         """The point (x, y) with the canonical square root as y.
 

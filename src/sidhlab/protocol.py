@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from importlib.resources import files
-from typing import Optional, Sequence
+from typing import Optional
 
 from .field import FieldParams, Fp2, Fp2Field
 from .isogeny import (
@@ -40,8 +40,10 @@ from .montgomery import (
     ladder3pt,
     sample_point_of_order,
     x_affine,
+    xdbl,
     xdbl_e,
     xpoint_from_affine,
+    xtpl,
     xtpl_e,
 )
 
@@ -120,12 +122,6 @@ class SidhParams:
             xs = (self.xPB, self.xQB, self.xDB)
         return tuple(xpoint_from_affine(x, F) for x in xs)
 
-    def public_basis(self, side: str) -> PublicKey:
-        """The starting-curve basis triple viewed as a PublicKey."""
-        if side == ALICE:
-            return PublicKey(self.xPA, self.xQA, self.xDA)
-        return PublicKey(self.xPB, self.xQB, self.xDB)
-
     def validate(self) -> None:
         F = self.field
         if self.e2 % 2 != 0:
@@ -199,23 +195,6 @@ def chain_inputs(pk: PublicKey, field: Fp2Field) -> tuple[ProjCoeff, XPoint, XPo
     return (coeff,) + tuple(xpoint_from_affine(x, field) for x in (pk.xP, pk.xQ, pk.xPQ))
 
 
-def prefix_chain(
-    params: SidhParams,
-    sk_prefix: int,
-    i: int,
-    inputs: tuple[ProjCoeff, XPoint, XPoint, XPoint],
-    push: Sequence[XPoint],
-) -> tuple[ProjCoeff, list, ChainTrace]:
-    """The first i steps of Bob's chain for any key = sk_prefix mod 3^i:
-    kernel [3^(e3-i)](P + [sk_prefix]Q) from inputs = (coeff, x(P), x(Q),
-    x(P - Q)), pushing the given points; strategy_eval3's result shape."""
-    coeff, xP, xQ, xD = inputs
-    if i == 0:
-        return coeff, list(push), ChainTrace(coeffs=[coeff])
-    kernel = xtpl_e(ladder3pt(sk_prefix, xP, xQ, xD, coeff), coeff, params.e3 - i)
-    return strategy_eval3(kernel, coeff, balanced_strategy(i), push)
-
-
 def sample_torsion_x(
     params: SidhParams,
     curve: MontgomeryCurve,
@@ -226,18 +205,30 @@ def sample_torsion_x(
 ) -> XPoint:
     """x-point of exact order ell^k (ell = 2 or 3) on the curve: a random x
     on the curve, the rest of p + 1 cleared (doublings first).  With avoid
-    given, points whose order-ell multiple has x = avoid are skipped."""
+    given, points whose order-ell multiple has x = avoid are skipped.
+
+    On a curve with group (Z/(p+1))^2, [ell^k] kills every cleared point;
+    the first one it does not kill proves the curve malformed and raises
+    SamplingExhaustedError at once.  Only points of too small an order and
+    avoid hits are retried."""
     F = params.field
     coeff = curve.coeff()
     e2 = params.e2 - k if ell == 2 else params.e2
     e3 = params.e3 - k if ell == 3 else params.e3
+    mul_e, mul = (xdbl_e, xdbl) if ell == 2 else (xtpl_e, xtpl)
     for _ in range(1000):
         x = F.random_element(rng)
         if x.is_zero() or not F.is_square(curve.rhs(x)):
             continue
         pt = xtpl_e(xdbl_e(xpoint_from_affine(x, F), coeff, e2), coeff, e3)
-        below = exact_order_multiple(pt, coeff, ell, k)
-        if below is not None and (avoid is None or x_affine(below) != avoid):
+        if pt.is_infinity():
+            continue
+        below = mul_e(pt, coeff, k - 1)
+        if below.is_infinity():
+            continue
+        if not mul(below, coeff).is_infinity():
+            raise SamplingExhaustedError(f"a point of order above {ell}^{k}: malformed curve")
+        if avoid is None or x_affine(below) != avoid:
             return pt
     raise SamplingExhaustedError(f"no point of order {ell}^{k}")
 

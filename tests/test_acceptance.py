@@ -12,7 +12,13 @@ import time
 
 import pytest
 
-from sidhlab.attack import candidate_kernels, faultless_attack, forge_public_keys, recover_key
+from sidhlab.attack import (
+    candidate_kernels,
+    faultless_attack,
+    forge_public_keys,
+    prefix_walk,
+    recover_key,
+)
 from sidhlab.countermeasure import PushforwardConfig, derive_bob_randomized, make_reject_oracle
 from sidhlab.faultsim import make_oracle, oracle
 from sidhlab.field import Fp2Field, FieldParams
@@ -34,6 +40,7 @@ from sidhlab.montgomery import (
 )
 from sidhlab.protocol import ALICE, BOB, bundled_params, derive, derive_with_trace, get_a, keygen
 
+from helpers import debug_assert_forced_curve
 from velu_oracle import fit_linear, j_short_weierstrass, velu_isogeny
 
 
@@ -143,7 +150,7 @@ def test_criterion_5_fault_is_noop(toy):
         for sk in range(27):
             for i in range(toy.e3 - 1):
                 prefix = sk % 3**i if i else 0
-                forged = forge_public_keys(toy, prefix, i, rng)
+                forged = forge_public_keys(prefix_walk(toy, prefix, i), rng)
                 for pk in (forged.pk, forged.pk_second):
                     base_final, base_trace = derive_with_trace(toy, BOB, sk, pk)
                     assert base_trace.completed
@@ -171,15 +178,14 @@ def test_criterion_6_forced_curve_replay(toy):
     """Every forged instance, all prefixes and positions: the victim's i-th
     codomain has affine A = 6 exactly and the (i+1)-th kernel is one of the
     three candidates."""
-    from sidhlab.faultsim import debug_assert_forced_curve
-
     rng = random.Random(13)
     checked = 0
     for sk in range(27):
         for i in range(toy.e3 - 1):
             prefix = sk % 3**i if i else 0
-            forged = forge_public_keys(toy, prefix, i, rng)
-            cands = candidate_kernels(toy, prefix, i, forged)
+            walk = prefix_walk(toy, prefix, i)
+            forged = forge_public_keys(walk, rng)
+            cands = candidate_kernels(walk, forged)
             for pk in (forged.pk, forged.pk_second):
                 assert debug_assert_forced_curve(toy, prefix, pk, i)
                 _, trace = derive_with_trace(toy, BOB, sk, pk)

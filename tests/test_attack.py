@@ -7,18 +7,22 @@ from sidhlab.attack import (
     OracleContradictionError,
     candidate_kernels,
     forge_public_keys,
+    PrefixWalk,
     infer_trit,
+    prefix_walk,
     recover_key,
 )
 from sidhlab.faultsim import make_oracle
-from sidhlab.montgomery import x_affine, xpoint_eq, xpoint_in_fp, xtpl
-from sidhlab.protocol import BOB, derive_with_trace, keygen
+from sidhlab.montgomery import affine_a_from_projective, x_affine, xpoint_eq, xpoint_in_fp, xtpl
+from sidhlab.protocol import BOB, derive_with_trace, keygen, param_gen
+
+from helpers import prefix_chain, public_basis, reference_forge
 
 
 class TestForge:
     def test_i_zero_is_the_public_basis(self, toy, rng):
-        forged = forge_public_keys(toy, 0, 0, rng)
-        assert forged.pk == toy.public_basis(BOB)
+        forged = forge_public_keys(prefix_walk(toy, 0, 0), rng)
+        assert forged.pk == public_basis(toy, BOB)
         # second instance: (P+Q, Q, P)
         assert forged.pk_second.xQ == toy.xQB
         assert forged.pk_second.xPQ == toy.xPB
@@ -28,14 +32,14 @@ class TestForge:
 
         F = toy.field
         for i in (1, 2):
-            forged = forge_public_keys(toy, 4 % 3**i, i, rng)
+            forged = forge_public_keys(prefix_walk(toy, 4 % 3**i, i), rng)
             for pk in (forged.pk, forged.pk_second):
                 A = get_a(pk, F)
                 assert _difference_consistent(pk.xP, pk.xQ, pk.xPQ, A, F)
 
     def test_deterministic_under_seed(self, toy):
-        f1 = forge_public_keys(toy, 2, 1, random.Random(9))
-        f2 = forge_public_keys(toy, 2, 1, random.Random(9))
+        f1 = forge_public_keys(prefix_walk(toy, 2, 1), random.Random(9))
+        f2 = forge_public_keys(prefix_walk(toy, 2, 1), random.Random(9))
         assert f1.pk == f2.pk and f1.pk_second == f2.pk_second
 
     def test_auxiliary_point_independence(self, toy):
@@ -55,7 +59,7 @@ class TestForge:
             rng = random.Random(seed)
             i = 1
             prefix = 2
-            forged = forge_public_keys(toy, prefix, i, rng)
+            forged = forge_public_keys(prefix_walk(toy, prefix, i), rng)
             A = get_a(forged.pk, F)
             coeff = coeff_from_a(A, F)
             xQp = xpoint_from_affine(forged.pk.xQ, F)  # x(Q') = x(T)
@@ -76,8 +80,9 @@ class TestCandidates:
         for sk in range(27):
             for i in range(toy.e3 - 1):
                 prefix = sk % 3**i if i else 0
-                forged = forge_public_keys(toy, prefix, i, rng)
-                cands = candidate_kernels(toy, prefix, i, forged)
+                walk = prefix_walk(toy, prefix, i)
+                forged = forge_public_keys(walk, rng)
+                cands = candidate_kernels(walk, forged)
                 s_i = (sk // 3**i) % 3
                 _, tr1 = derive_with_trace(toy, BOB, sk, forged.pk)
                 assert xpoint_eq(tr1.kernels[i], cands[s_i])
@@ -86,8 +91,9 @@ class TestCandidates:
 
     def test_distinct_order3_points(self, toy, rng):
         for i in range(toy.e3 - 1):
-            forged = forge_public_keys(toy, 1 % 3**i if i else 0, i, rng)
-            cands = candidate_kernels(toy, 1 % 3**i if i else 0, i, forged)
+            walk = prefix_walk(toy, 1 % 3**i if i else 0, i)
+            forged = forge_public_keys(walk, rng)
+            cands = candidate_kernels(walk, forged)
             xs = {(int(x_affine(c).re), int(x_affine(c).im)) for c in cands}
             assert len(xs) == 3
             for c in cands:
@@ -100,15 +106,69 @@ class TestCandidates:
             r = random.Random(seed)
             for i in range(toy.e3 - 1):
                 prefix = seed % 3**i if i else 0
-                forged = forge_public_keys(toy, prefix, i, r)
-                cands = candidate_kernels(toy, prefix, i, forged)
+                walk = prefix_walk(toy, prefix, i)
+                forged = forge_public_keys(walk, r)
+                cands = candidate_kernels(walk, forged)
                 m = [xpoint_in_fp(c) for c in cands]
                 assert sum(m) in (1, 2)
 
     def test_candidates_cached_on_forged(self, toy, rng):
-        forged = forge_public_keys(toy, 0, 0, rng)
-        cands = candidate_kernels(toy, 0, 0, forged)
+        walk = prefix_walk(toy, 0, 0)
+        forged = forge_public_keys(walk, rng)
+        cands = candidate_kernels(walk, forged)
         assert forged.candidates == cands
+
+
+@pytest.fixture(scope="module")
+def mid():
+    """A generated set with e3 = 13, so the walk takes up to 11 steps
+    (toy431 has e3 = 3 and reaches i = 1 only)."""
+    return param_gen(4, 13, random.Random(413))
+
+
+class TestCarriedWalk:
+    def test_walk_matches_fresh_recipe_and_victim(self, mid):
+        """For several keys and every i: the forged pair equals the fresh
+        i-step recipe's, the candidates equal the victim's (i+1)-th kernels
+        on both instances, and every dual step lands on its forward model."""
+        F = mid.field
+        keys = random.Random(7).sample(range(3**mid.e3), 4)
+        for sk in keys:
+            walk = PrefixWalk.start(mid)
+            models = []
+            for i in range(mid.e3 - 1):
+                prefix = sk % 3**i
+                assert (walk.i, walk.sk) == (i, prefix)
+                models.append(walk.A)
+                for j, dual in enumerate(walk.duals):
+                    assert affine_a_from_projective(dual.new_coeff) == models[j], (sk, i, j)
+                final, _, _ = prefix_chain(mid, prefix, i, (mid.coeff0, *mid.basis_xpoints(BOB)), ())
+                assert walk.A == affine_a_from_projective(final)
+
+                forged = forge_public_keys(walk, random.Random(sk + i))
+                if i == 0:
+                    assert forged.pk == public_basis(mid, BOB)
+                else:
+                    ref = reference_forge(mid, prefix, i, random.Random(sk + i))
+                    assert (forged.pk, forged.pk_second) == (ref.pk, ref.pk_second), (sk, i)
+                cands = candidate_kernels(walk, forged)
+                s_i = sk // 3**i % 3
+                for pk, t in ((forged.pk, s_i), (forged.pk_second, (s_i + 1) % 3)):
+                    _, trace = derive_with_trace(mid, BOB, sk, pk)
+                    assert trace.completed
+                    if i:
+                        assert affine_a_from_projective(trace.coeffs[i]) == F(6)
+                    assert x_affine(trace.kernels[i]) == x_affine(cands[t]), (sk, i)
+                walk = walk.step(s_i)
+
+    def test_prefix_walk_steps_through_the_prefix(self, toy):
+        walk = prefix_walk(toy, 5, 2)
+        assert (walk.i, walk.sk, len(walk.duals)) == (2, 5, 2)
+        assert walk == PrefixWalk.start(toy).step(2).step(1)
+
+    def test_step_rejects_a_non_trit(self, toy):
+        with pytest.raises(ValueError):
+            PrefixWalk.start(toy).step(3)
 
 
 class TestInferTrit:
@@ -164,12 +224,11 @@ class TestRecovery:
             i = 1
             prefix = sk % 3
             orc = make_oracle(toy, sk)
+            walk = prefix_walk(toy, prefix, i)
             trits = []
             for negate in (False, True):
-                forged = forge_public_keys(
-                    toy, prefix, i, random.Random(60), negate_phi_q=negate
-                )
-                cands = candidate_kernels(toy, prefix, i, forged)
+                forged = forge_public_keys(walk, random.Random(60), negate_phi_q=negate)
+                cands = candidate_kernels(walk, forged)
                 m = tuple(xpoint_in_fp(c) for c in cands)
                 verdicts = [orc(forged.pk, i)]
                 trit, _ = infer_trit(m, verdicts)

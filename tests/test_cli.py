@@ -112,6 +112,39 @@ class TestAttackCommand:
         )
         assert res.exit_code == 1
 
+    def test_campaign_survives_a_raising_trial(self, runner, tmp_path, monkeypatch):
+        """A trial whose recovery raises is reported with success false and
+        the error class; the other trials still run, and the exit is 1."""
+        import sidhlab.cli as cli_mod
+        from sidhlab.attack import OracleContradictionError
+
+        recover = cli_mod.attack_mod.recover_key
+
+        def flaky(params, oracle, pk, rng):
+            flaky.calls += 1
+            if flaky.calls == 2:
+                oracle(pk, 0)
+                raise OracleContradictionError("planted")
+            return recover(params, oracle, pk, rng)
+
+        flaky.calls = 0
+        monkeypatch.setattr(cli_mod.attack_mod, "recover_key", flaky)
+        out = tmp_path / "r.jsonl"
+        res = runner.invoke(
+            main,
+            ["attack", "--params", "toy431", "--trials", "3", "--seed", "4", "--json", str(out)],
+        )
+        assert res.exit_code == 1, res.output
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        trials, summary = lines[:-1], lines[-1]
+        assert [t["seed"] for t in trials] == [4, 5, 6]
+        assert [t["success"] for t in trials] == [True, False, True]
+        failed = trials[1]
+        assert failed["error"] == "OracleContradictionError"
+        assert failed["oracle_calls"] == 1 and failed["calls_histogram"] == {}
+        assert all("error" not in t for t in (trials[0], trials[2]))
+        assert summary["trials"] == 3 and summary["successes"] == 2
+
     def test_unknown_params(self, runner):
         res = runner.invoke(main, ["attack", "--params", "nope", "--trials", "1"])
         assert res.exit_code == 2

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sidhlab.attack import candidate_kernels, faultless_attack, forge_public_keys
+from sidhlab.attack import candidate_kernels, faultless_attack, forge_public_keys, prefix_walk
 from sidhlab.countermeasure import (
     NaiveRejectOutcome,
     PushforwardConfig,
@@ -113,8 +113,9 @@ class TestRandomizedPushforward:
             sk = toy.sample_sk(BOB, rng)
             i = 1
             prefix = sk % 3
-            forged = forge_public_keys(toy, prefix, i, rng)
-            cands = candidate_kernels(toy, prefix, i, forged)
+            walk = prefix_walk(toy, prefix, i)
+            forged = forge_public_keys(walk, rng)
+            cands = candidate_kernels(walk, forged)
             if not xpoint_in_fp(cands[(sk // 3) % 3]):
                 continue
             total += 1
@@ -132,7 +133,7 @@ class TestNaiveReject:
         """Instances that force the A = 6 curve mid-chain hit the GF(p)
         check by construction."""
         sk = 5
-        forged = forge_public_keys(toy, sk % 3, 1, rng)
+        forged = forge_public_keys(prefix_walk(toy, sk % 3, 1), rng)
         out = derive_bob_naive_reject(toy, sk, forged.pk)
         assert not out.accepted and out.rejected_step == 1
 

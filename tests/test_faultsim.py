@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from sidhlab.attack import forge_public_keys
+from sidhlab.attack import forge_public_keys, prefix_walk
 from sidhlab.countermeasure import PushforwardConfig
 from sidhlab.faultsim import (
-    debug_assert_forced_curve,
     dump_chain_trace,
     make_oracle,
     oracle,
@@ -13,6 +12,8 @@ from sidhlab.faultsim import (
 )
 from sidhlab.montgomery import affine_a_from_projective, coeff_in_fp
 from sidhlab.protocol import ALICE, BOB, PublicKey, derive_with_trace, get_a, j_invariant, keygen
+
+from helpers import debug_assert_forced_curve, public_basis
 
 
 def truth_table(toy, sk, i, pk):
@@ -61,14 +62,14 @@ class TestOracleContract:
                 assert oracle_randomized(toy, 5, pk, 0, PushforwardConfig(k), rng) in (0, 1)
 
     def test_deterministic(self, toy, rng):
-        forged = forge_public_keys(toy, 2, 1, rng)
+        forged = forge_public_keys(prefix_walk(toy, 2, 1), rng)
         a = oracle(toy, 5, forged.pk, 1)
         b = oracle(toy, 5, forged.pk, 1)
         assert a.bit == b.bit and a.failure_step == b.failure_step
 
     def test_make_oracle_returns_bits(self, toy, rng):
         orc = make_oracle(toy, 5)
-        forged = forge_public_keys(toy, 2, 1, rng)
+        forged = forge_public_keys(prefix_walk(toy, 2, 1), rng)
         assert orc(forged.pk, 1) in (0, 1)
 
 
@@ -80,7 +81,7 @@ class TestOracleSoundness:
         for sk in range(27):
             for i in range(toy.e3 - 1):
                 prefix = sk % 3**i if i else 0
-                forged = forge_public_keys(toy, prefix, i, rng)
+                forged = forge_public_keys(prefix_walk(toy, prefix, i), rng)
                 for pk in (forged.pk, forged.pk_second):
                     want = truth_table(toy, sk, i, pk)
                     assert oracle(toy, sk, pk, i).bit == int(want), (sk, i)
@@ -88,7 +89,7 @@ class TestOracleSoundness:
     def test_honest_pk_with_fp_step(self, toy):
         """An honest public key whose chain naturally passes through a GF(p)
         coefficient at step i+1 yields verdict 1."""
-        pk = toy.public_basis(BOB)
+        pk = public_basis(toy, BOB)
         hits = 0
         for sk in range(27):
             if truth_table(toy, sk, 0, pk):
@@ -105,7 +106,7 @@ class TestOracleSoundness:
         for sk in range(27):
             for i in range(toy.e3 - 1):
                 prefix = sk % 3**i if i else 0
-                forged = forge_public_keys(toy, prefix, i, rng)
+                forged = forge_public_keys(prefix_walk(toy, prefix, i), rng)
                 v = oracle(toy, sk, forged.pk, i, keep_trace=True)
                 if v.bit == 0:
                     continue
@@ -120,28 +121,28 @@ class TestOracleSoundness:
 
 class TestDebugAssert:
     def test_i_zero_on_basis(self, toy):
-        assert debug_assert_forced_curve(toy, 0, toy.public_basis(BOB), 0)
+        assert debug_assert_forced_curve(toy, 0, public_basis(toy, BOB), 0)
 
     def test_correct_forges(self, toy):
         rng = random.Random(46)
         for sk in range(1, 27):
             for i in range(toy.e3 - 1):
                 prefix = sk % 3**i if i else 0
-                forged = forge_public_keys(toy, prefix, i, rng)
+                forged = forge_public_keys(prefix_walk(toy, prefix, i), rng)
                 assert debug_assert_forced_curve(toy, prefix, forged.pk, i)
                 assert debug_assert_forced_curve(toy, prefix, forged.pk_second, i)
 
     def test_wrong_prefix_fails(self, toy):
         rng = random.Random(47)
         i = 1
-        forged = forge_public_keys(toy, 1, i, rng)
+        forged = forge_public_keys(prefix_walk(toy, 1, i), rng)
         assert debug_assert_forced_curve(toy, 1, forged.pk, i)
         assert not debug_assert_forced_curve(toy, 2, forged.pk, i)
 
 
 class TestTraceDump:
     def test_dump_format(self, toy):
-        _, trace = derive_with_trace(toy, BOB, 5, toy.public_basis(BOB))
+        _, trace = derive_with_trace(toy, BOB, 5, public_basis(toy, BOB))
         text = dump_chain_trace(trace, toy.field)
         lines = text.splitlines()
         assert len(lines) == toy.e3 + 1
@@ -151,7 +152,7 @@ class TestTraceDump:
     def test_dump_marks_fault_and_degeneracy(self, toy, rng):
         from sidhlab.isogeny import FaultHook
 
-        forged = forge_public_keys(toy, 0, 1, rng)
+        forged = forge_public_keys(prefix_walk(toy, 0, 1), rng)
         sk = next(s for s in range(27) if not truth_table(toy, s, 1, forged.pk))
         hook = FaultHook(1)
         _, trace = derive_with_trace(toy, BOB, sk, forged.pk, hook)

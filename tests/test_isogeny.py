@@ -220,11 +220,11 @@ class TestStrategyEval:
 
 class TestFaultHook:
     def _trace_for(self, toy, sk, i, rng):
-        from sidhlab.attack import forge_public_keys
+        from sidhlab.attack import forge_public_keys, prefix_walk
         from sidhlab.protocol import BOB, derive_with_trace
 
         prefix = sk % 3**i if i else 0
-        forged = forge_public_keys(toy, prefix, i, rng)
+        forged = forge_public_keys(prefix_walk(toy, prefix, i), rng)
         hook = FaultHook(target_index=i)
         final, trace = derive_with_trace(toy, BOB, sk, forged.pk, hook)
         base_final, base_trace = derive_with_trace(toy, BOB, sk, forged.pk)

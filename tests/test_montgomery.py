@@ -27,6 +27,8 @@ from sidhlab.montgomery import (
     xtpl_e,
 )
 
+from helpers import on_curve
+
 
 @pytest.fixture(scope="module")
 def E(F431):
@@ -230,8 +232,8 @@ class TestFullPoint:
 
     def test_contains(self, F431, E, rng):
         P = sample_point_of_order(E, 16, rng)
-        assert E.contains(P)
-        assert not E.contains(FullPoint(P.x, P.y + F431.one))
+        assert on_curve(E, P)
+        assert not on_curve(E, FullPoint(P.x, P.y + F431.one))
 
 
 class TestSampling:
@@ -239,7 +241,7 @@ class TestSampling:
         T = sample_point_of_order(E, 27, rng)
         assert not E.scalar_mul(9, T).infinity
         assert E.scalar_mul(27, T).infinity
-        assert E.contains(T)
+        assert on_curve(E, T)
 
     def test_order_one_is_infinity(self, F431, E, rng):
         assert sample_point_of_order(E, 1, rng).infinity

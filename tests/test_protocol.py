@@ -6,6 +6,7 @@ from sidhlab.field import FieldParams, Fp2Field
 from sidhlab.isogeny import strategy_eval3, strategy_eval4
 from sidhlab.montgomery import (
     MontgomeryCurve,
+    SamplingExhaustedError,
     affine_a_from_projective,
     j_invariant,
     ladder3pt,
@@ -29,8 +30,11 @@ from sidhlab.protocol import (
     load_params,
     loads_params,
     param_gen,
+    sample_torsion_x,
     save_params,
 )
+
+from helpers import public_basis
 
 
 class TestParams:
@@ -102,7 +106,7 @@ class TestKeygen:
     def test_sk_congruence_gives_same_key(self, toy):
         # same kernel subgroup => byte-identical public key
         assert keygen(toy, BOB, 5) == keygen(toy, BOB, 5)
-        _, trace = derive_with_trace(toy, BOB, 2, toy.public_basis(BOB))
+        _, trace = derive_with_trace(toy, BOB, 2, public_basis(toy, BOB))
         assert trace.completed
 
     def test_image_of_difference_is_difference_of_images(self, toy, rng):
@@ -144,7 +148,7 @@ class TestDerive:
         which is also the curve of the honest public key."""
         sk = 5
         j_direct = j_invariant(get_a(keygen(toy, BOB, sk), toy.field), toy.field)
-        j_derive = derive(toy, BOB, sk, toy.public_basis(BOB))
+        j_derive = derive(toy, BOB, sk, public_basis(toy, BOB))
         assert j_derive == j_direct
 
 
@@ -162,8 +166,8 @@ class TestGetA:
 
     def test_starting_basis_recovers_six(self, toy):
         F = toy.field
-        assert get_a(toy.public_basis(BOB), F) == F(6)
-        assert get_a(toy.public_basis(ALICE), F) == F(6)
+        assert get_a(public_basis(toy, BOB), F) == F(6)
+        assert get_a(public_basis(toy, ALICE), F) == F(6)
 
     def test_garbage_triple(self, toy, rng):
         """Vanishing denominators trip the error; generic garbage resolves to
@@ -195,6 +199,43 @@ class TestGetA:
         assert unliftable > 0
 
 
+class TestTorsionSampler:
+    def _tries(self, monkeypatch, params, curve, ell, k):
+        """(sampled point or the raised error, samples cleared)."""
+        import sidhlab.protocol as proto
+
+        count = [0]
+        lift = proto.xpoint_from_affine
+
+        def counting(x, field):
+            count[0] += 1
+            return lift(x, field)
+
+        monkeypatch.setattr(proto, "xpoint_from_affine", counting)
+        try:
+            result = sample_torsion_x(params, curve, ell, k, random.Random(1))
+        except SamplingExhaustedError as exc:
+            result = exc
+        monkeypatch.undo()
+        return result, count[0]
+
+    def test_malformed_curve_fails_at_the_first_large_order(self, toy, monkeypatch):
+        """A = 5 over GF(431^2) is not a (Z/432)^2 curve: the sampler gives
+        up at the first point [ell^k] does not kill (it spent 1000 full
+        clearings before), while the honest curve still samples."""
+        F = toy.field
+        bad = MontgomeryCurve(F(5), F)
+        xs = [F(v) for v in range(2, 40) if F.is_square(bad.rhs(F(v)))]
+        assert any(not bad.scalar_mul(432, bad.lift_x(x)).infinity for x in xs)
+        for ell, k in ((2, 2), (3, 1), (3, 3)):
+            result, tries = self._tries(monkeypatch, toy, bad, ell, k)
+            assert isinstance(result, SamplingExhaustedError)
+            assert tries == 1, (ell, k)
+            result, tries = self._tries(monkeypatch, toy, toy.curve, ell, k)
+            assert not isinstance(result, SamplingExhaustedError)
+            assert tries >= 1
+
+
 class TestVictimUnawareness:
     def test_victim_code_never_tests_membership(self):
         """keygen/derive and the chain evaluators never consult the GF(p)
@@ -215,7 +256,6 @@ class TestVictimUnawareness:
             proto.derive,
             proto.derive_with_trace,
             proto.chain_inputs,
-            proto.prefix_chain,
             iso.strategy_eval3,
             iso.strategy_eval4,
             iso._walk,
