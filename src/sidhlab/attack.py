@@ -17,11 +17,12 @@ push the forged triple back to the A = 6 curve through the cached duals, so
 no trit re-walks the chain from E_0.
 
 Sign discipline: public keys carry x-coordinates only, so every scalar
-combination here runs through the three-point ladder or differential
-additions seeded with a genuine difference x-coordinate.  The only
-y-coordinates ever recovered are for the forger's own auxiliary point T
-against phi(Q) (one square root each); their signs are arbitrary and
-cancel, which the sign-robustness test pins down.
+combination here is a chain of differential additions seeded with a genuine
+difference x-coordinate, stepped digit by digit through the base-3 digits of
+the recovered prefix (_ternary_step): the attacker already knows them, so no
+binary ladder is needed.  The only y-coordinates ever recovered are for the
+forger's own auxiliary point T against phi(Q) (one square root each); their
+signs are arbitrary and cancel, which the sign-robustness test pins down.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .montgomery import (
     ProjCoeff,
     XPoint,
     affine_a_from_projective,
-    ladder3pt,
     x_affine,
     xadd,
     xpoint_from_affine,
@@ -62,13 +62,16 @@ class OracleContradictionError(RuntimeError):
 class ForgedKeys:
     """The two oracle instances for one trit, plus candidate bookkeeping.
 
-    candidates[t] (filled by candidate_kernels) is the x-point of the
-    victim's (i+1)-th kernel if the trit is t and pk was sent; the second
-    instance shifts the mapping to candidates[(t + 1) % 3].
+    preimages[t] is x(P' + [sk + t*3^i]Q') on pk's curve E_i, where
+    (P', Q') is the basis pk describes.  candidates[t] (filled by
+    candidate_kernels) is the x-point of the victim's (i+1)-th kernel if the
+    trit is t and pk was sent; the second instance shifts the mapping to
+    candidates[(t + 1) % 3].
     """
 
     pk: PublicKey
     pk_second: PublicKey
+    preimages: tuple
     candidates: Optional[tuple] = None
 
 
@@ -82,6 +85,19 @@ class AttackState:
     @property
     def total_calls(self) -> int:
         return sum(self.calls_per_trit)
+
+
+def _ternary_step(a: XPoint, b: XPoint, d: XPoint, trit: int) -> tuple[XPoint, XPoint]:
+    """One base-3 digit of a scalar chain: given d = a - b, the new
+    a = a + [trit]b and d = (new a) - [3]b, in two differential additions.
+    The caller triples b."""
+    if trit == 0:
+        return a, xadd(xadd(d, b, a), b, d)  # a - 2b, then a - 3b
+    if trit == 1:
+        return xadd(a, b, d), xadd(d, b, a)  # a + b and a - 2b
+    if trit == 2:
+        return xadd(xadd(a, b, d), b, a), d  # a + b, then a + 2b; d = a - b stays
+    raise ValueError(f"trit {trit} outside 0..2")
 
 
 class PrefixWalk(NamedTuple):
@@ -121,17 +137,8 @@ class PrefixWalk(NamedTuple):
         Raises OracleContradictionError when the step's kernel fails its
         order check or its dual misses E_i's model.
         """
-        a, b, d = self.a, self.b, self.d
-        # a <- a + [trit]b and d <- a - [3]b for the new a
-        if trit == 0:
-            d = xadd(xadd(d, b, a), b, d)  # a - 2b, then a - 3b
-        elif trit == 1:
-            a, d = xadd(a, b, d), xadd(d, b, a)  # a + b and a - 2b
-        elif trit == 2:
-            a = xadd(xadd(a, b, d), b, a)  # a + b, then a + 2b; d = a - b stays
-        else:
-            raise ValueError(f"trit {trit} outside 0..2")
-        b = xtpl(b, self.coeff)
+        a, d = _ternary_step(self.a, self.b, self.d, trit)
+        b = xtpl(self.b, self.coeff)
         kernel = xtpl_e(a, self.coeff, self.params.e3 - self.i - 1)
         coeff, pushed, trace = strategy_eval3(kernel, self.coeff, [], [a, b, d, self.q, self.q3])
         if not trace.completed:
@@ -164,13 +171,19 @@ def forge_public_keys(
     negate_phi_q: bool = False,
 ) -> ForgedKeys:
     """Build the two adaptive instances for trit i = walk.i given a correct
-    prefix sk = walk.sk.
+    prefix sk = walk.sk, with the candidate preimages on their curve.
 
     For i = 0 the instances are the plain basis (P, Q, P-Q) and its shift
-    (P+Q, Q, P).  For i >= 1, on the walk's E_i: find T of order 3^e3
-    independent of phi(Q) at the order-3 level, and emit the triples for
-    P' = phi(Q) + [sk]T, Q' = -T and for the [3^i]Q'-shifted second
-    instance.
+    (P+Q, Q, P), and the preimages are P, P+Q and P+2Q.  For i >= 1, on the
+    walk's E_i: find T of order 3^e3 independent of phi(Q) at the order-3
+    level, and emit the triples for P' = phi(Q) + [sk]T, Q' = -T and for the
+    [3^i]Q'-shifted second instance.  Three chains over the digits of sk
+    share one tripling of b = [3^j]T per digit: from (phiQ, phiQ - T) and
+    (phiQ + T, phiQ) they end at a = phiQ + [sk]T and phiQ + [sk+1]T, with
+    d = a - [3^i]T the second instance's points; a third chain stepping
+    with trit 0 ends at phiQ - [3^i]T.  The preimages
+    P' + [sk + t*3^i]Q' = phiQ - [t*3^i]T are phiQ, that point and one more
+    addition of -[3^i]T.
 
     negate_phi_q flips the recovered sign of phi(Q); it exists to exercise
     the sign-robustness property and must not change any verdict.
@@ -178,17 +191,13 @@ def forge_public_keys(
     params, sk_prefix, i = walk.params, walk.sk, walk.i
     F = params.field
     if i == 0:
-        E = params.curve
-        P = E.lift_x(params.xPB)
-        Q = E.lift_x(params.xQB)
-        if E.sub(P, Q).x != params.xDB:
-            Q = E.negate(Q)
+        xP, xQ, xD = params.basis_xpoints(BOB)
+        x_sum = xadd(xP, xQ, xD)  # P + Q
         pk = PublicKey(params.xPB, params.xQB, params.xDB)
-        pk_second = PublicKey(E.add(P, Q).x, params.xQB, params.xPB)
-        return ForgedKeys(pk=pk, pk_second=pk_second)
+        pk_second = PublicKey(x_affine(x_sum), params.xQB, params.xPB)
+        return ForgedKeys(pk, pk_second, (xP, x_sum, xadd(x_sum, xQ, xP)))
 
     E_i = MontgomeryCurve(walk.A, F)
-    coeff_i = E_i.coeff()
     # exact order 3^e3, independent of phi(Q) at the order-3 level
     x_t = x_affine(sample_torsion_x(params, E_i, 3, params.e3, rng, avoid=x_affine(walk.q3)))
 
@@ -196,23 +205,21 @@ def forge_public_keys(
     if negate_phi_q:
         phi_q = E_i.negate(phi_q)
     t_full = E_i.lift_x(x_t)
-    x_sum = E_i.add(phi_q, t_full).x  # x(phiQ + T)
-    x_dif = E_i.sub(phi_q, t_full).x  # x(phiQ - T)
+    x_sum = xpoint_from_affine(E_i.add(phi_q, t_full).x, F)  # x(phiQ + T)
+    x_dif = xpoint_from_affine(E_i.sub(phi_q, t_full).x, F)  # x(phiQ - T)
 
-    xt_pt = xpoint_from_affine(x_t, F)
-    dif_pt = xpoint_from_affine(x_dif, F)
-    sum_pt = xpoint_from_affine(x_sum, F)
-
-    def combo(m: int, diff: XPoint) -> Fp2:
-        # x(phiQ + [m]T) with diff = x(phiQ - T); x(phiQ - [m]T) with the sum
-        return x_affine(ladder3pt(m, walk.q, xt_pt, diff, coeff_i))
-
-    # P' = phiQ + [sk]T, Q' = -T: the triple is (P', Q', P' + T)
-    pk = PublicKey(combo(sk_prefix, dif_pt), x_t, combo(sk_prefix + 1, dif_pt))
-    # P' + [3^i]Q' = phiQ - [3^i - sk]T and its Q'-difference one step back
-    m2 = 3**i - sk_prefix
-    pk_second = PublicKey(combo(m2, sum_pt), x_t, combo(m2 - 1, sum_pt))
-    return ForgedKeys(pk=pk, pk_second=pk_second)
+    q, b = walk.q, xpoint_from_affine(x_t, F)
+    a1, d1, a2, d2, d0 = q, x_dif, x_sum, q, x_dif
+    for j in range(i):
+        trit = sk_prefix // 3**j % 3
+        a1, d1 = _ternary_step(a1, b, d1, trit)
+        a2, d2 = _ternary_step(a2, b, d2, trit)
+        _, d0 = _ternary_step(q, b, d0, 0)
+        b = xtpl(b, walk.coeff)
+    # pk = (P', Q', P' - Q'); pk_second shifts P' and P' - Q' by [3^i]Q'
+    pk = PublicKey(x_affine(a1), x_t, x_affine(a2))
+    pk_second = PublicKey(x_affine(d1), x_t, x_affine(d2))
+    return ForgedKeys(pk, pk_second, (q, d0, xadd(d0, b, q)))
 
 
 def candidate_kernels(walk: PrefixWalk, forged: ForgedKeys) -> tuple:
@@ -221,20 +228,17 @@ def candidate_kernels(walk: PrefixWalk, forged: ForgedKeys) -> tuple:
     s_i = t and forged.pk was sent.
 
     The victim's first i steps on forged.pk have kernel [3^(e3-i)]phi(Q),
-    so they are the walk's dual steps: the pk triple is pushed back through
-    them to the A = 6 curve, where the candidates are
-    [3^(e3-1-i)](P~ + [k_t]Q~) with k_t = sk + t*3^i.
+    so they are the walk's dual steps: the preimages
+    P' + [sk + t*3^i]Q' are pushed back through them to the A = 6 curve
+    (i xeval3 calls each) and tripled down to order 3 there.
     """
-    params, i = walk.params, walk.i
-    F = params.field
-    pts = [xpoint_from_affine(x, F) for x in (forged.pk.xP, forged.pk.xQ, forged.pk.xPQ)]
+    params = walk.params
+    pts = forged.preimages
     for dual in reversed(walk.duals):
         pts = [xeval3(pt, dual) for pt in pts]
     coeff = params.coeff0
-    down = params.e3 - 1 - i
-    forged.candidates = tuple(
-        xtpl_e(ladder3pt(walk.sk + t * 3**i, *pts, coeff), coeff, down) for t in range(3)
-    )
+    down = params.e3 - 1 - walk.i
+    forged.candidates = tuple(xtpl_e(pt, coeff, down) for pt in pts)
     return forged.candidates
 
 

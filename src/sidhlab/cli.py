@@ -5,7 +5,10 @@ Reports are JSON-lines (one trial per line, aggregate summary last).  A
 trial whose recovery raises OracleContradictionError or DegenerateChainError
 is reported with success false and the class name under "error", and the
 campaign goes on.  Exit status is 0 when every trial succeeded, 1 on any
-recovery mismatch or failed trial, 2 for usage or I/O problems.
+recovery mismatch or failed trial, 2 for usage or I/O problems.  Untrusted
+input (a parameter file, a public-key file, a public key whose chain
+degenerates) that cannot be used is a usage problem: exit 2 with one error
+line, never a traceback.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import click
 
 from . import attack as attack_mod
 from . import countermeasure as cm
-from .faultsim import make_oracle, oracle_randomized
+from .faultsim import MALFORMED_PK_ERRORS, make_oracle, oracle_randomized
 from .montgomery import xpoint_in_fp
 from .protocol import (
     ALICE,
@@ -68,7 +71,12 @@ def _load(params_arg: str) -> SidhParams:
     path = Path(params_arg)
     if not path.exists():
         raise click.UsageError(f"no such parameter set or file: {params_arg}")
-    return load_params(path)
+    try:
+        return load_params(path)
+    except KeyError as exc:
+        raise click.UsageError(f"parameter file {params_arg} has no {exc.args[0]!r} entry")
+    except (OSError, ValueError) as exc:
+        raise click.UsageError(f"bad parameter file {params_arg}: {exc}")
 
 
 @click.group()
@@ -212,12 +220,14 @@ def countermeasure_bench(params_arg, k, trials, seed, json_out):
         ska = ps.sample_sk(ALICE, rng)
         skb = ps.sample_sk(BOB, rng)
         pka = keygen(ps, ALICE, ska)
-        t0 = time.perf_counter()
+        # the process's own CPU time: load elsewhere on the machine does not
+        # skew the ratio
+        t0 = time.process_time()
         want = derive(ps, BOB, skb, pka)
-        t_honest += time.perf_counter() - t0
-        t0 = time.perf_counter()
+        t_honest += time.process_time() - t0
+        t0 = time.process_time()
         got = cm.derive_bob_randomized(ps, skb, pka, cfg, rng)
-        t_masked += time.perf_counter() - t0
+        t_masked += time.process_time() - t0
         mismatches += got != want
 
     hits = total = 0
@@ -266,15 +276,20 @@ def _write_pk(path: str, ps: SidhParams, side: str, pk: PublicKey) -> None:
 
 
 def _read_pk(path: str, ps: SidhParams) -> tuple[str, PublicKey]:
-    kv = {}
-    for line in Path(path).read_text().splitlines():
-        if line.strip() and not line.startswith("#"):
-            key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
-    if int(kv["p"], 16) != int(ps.field_params.p):
-        raise click.UsageError("public key was produced under different parameters")
     F = ps.field
-    return kv["side"], PublicKey(F.decode(kv["xP"]), F.decode(kv["xQ"]), F.decode(kv["xPQ"]))
+    try:
+        kv = {}
+        for line in Path(path).read_text().splitlines():
+            if line.strip() and not line.startswith("#"):
+                key, _, value = line.partition("=")
+                kv[key.strip()] = value.strip()
+        if int(kv["p"], 16) != int(ps.field_params.p):
+            raise click.UsageError("public key was produced under different parameters")
+        return kv["side"], PublicKey(F.decode(kv["xP"]), F.decode(kv["xQ"]), F.decode(kv["xPQ"]))
+    except KeyError as exc:
+        raise click.UsageError(f"public-key file {path} has no {exc.args[0]!r} entry")
+    except ValueError as exc:
+        raise click.UsageError(f"bad public-key file {path}: {exc}")
 
 
 @main.command("keygen")
@@ -287,7 +302,7 @@ def keygen_cmd(params_arg, side, sk, out):
     ps = _load(params_arg)
     try:
         pk = keygen(ps, side, sk)
-    except ValueError as exc:
+    except (ValueError, DegenerateChainError) as exc:
         raise click.UsageError(str(exc))
     _write_pk(out, ps, side, pk)
     click.echo(f"wrote {out}")
@@ -306,7 +321,7 @@ def derive_cmd(params_arg, side, sk, pk_path):
         raise click.UsageError(f"cannot derive {side} against a {pk_side} public key")
     try:
         j = derive(ps, side, sk, pk)
-    except ValueError as exc:
+    except (ValueError, *MALFORMED_PK_ERRORS) as exc:
         raise click.UsageError(str(exc))
     click.echo(ps.field.encode(j))
 

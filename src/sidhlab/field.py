@@ -49,10 +49,10 @@ def _jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n > 0."""
     a, result = a % n, 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
+        twos = (a & -a).bit_length() - 1  # a = 2^twos * odd
+        a >>= twos
+        if twos & 1 and n % 8 in (3, 5):
+            result = -result
         a, n = n, a
         if a % 4 == 3 and n % 4 == 3:
             result = -result
@@ -215,9 +215,10 @@ class Fp2Field:
     # --- base-field helpers -------------------------------------------------
 
     def _legendre(self, v) -> int:
-        """Legendre symbol of v in GF(p): 1, -1, or 0."""
-        r = _powmod(v, (self.p - 1) >> 1, self.p)
-        return -1 if r == self.p - 1 else int(r)
+        """Legendre symbol of v in GF(p): 1, -1, or 0, as a Jacobi symbol
+        (equal for a prime modulus, and several times faster than Euler's
+        criterion v^((p-1)/2) on pure-Python ints)."""
+        return _jacobi(v, self.p)
 
     def _sqrt_fp(self, v):
         """Square root in GF(p) via v^((p+1)/4); p = 3 (mod 4)."""

@@ -1,13 +1,14 @@
 """Test-only helpers: views of the parameters and curves that the program
-itself never needs, and the forger's previous i-step recipe (a fresh ladder
-and strategy walk from E_0 per call), kept as a reference for the carried
-walk in sidhlab.attack.
+itself never needs, and the forger's earlier recipes, kept as references for
+sidhlab.attack: the forged pair from a fresh ladder and strategy walk from
+E_0 per call, and the candidate kernels from three binary ladders over the
+pushed-back forged triple.
 """
 
 import random
 
-from sidhlab.attack import ForgedKeys, OracleContradictionError
-from sidhlab.isogeny import ChainTrace, balanced_strategy, strategy_eval3
+from sidhlab.attack import OracleContradictionError
+from sidhlab.isogeny import ChainTrace, balanced_strategy, strategy_eval3, xeval3
 from sidhlab.montgomery import (
     FullPoint,
     MontgomeryCurve,
@@ -53,10 +54,10 @@ def debug_assert_forced_curve(params, sk_prefix, pk, i) -> bool:
     return trace.completed and affine_a_from_projective(final) == params.field(6)
 
 
-def reference_forge(params, sk_prefix: int, i: int, rng: random.Random) -> ForgedKeys:
-    """The forged pair for trit i >= 1 built from a fresh i-step walk of E_0
-    and a fresh anchor [3^(e3-1)]phi(Q); the same random draws as
-    attack.forge_public_keys."""
+def reference_forge(params, sk_prefix: int, i: int, rng: random.Random) -> tuple:
+    """The forged pair (pk, pk_second) for trit i >= 1 built from a fresh
+    i-step walk of E_0, a fresh anchor [3^(e3-1)]phi(Q) and four binary
+    ladders; the same random draws as attack.forge_public_keys."""
     F = params.field
     basis = params.basis_xpoints(BOB)
     final, pushed, trace = prefix_chain(params, sk_prefix, i, (params.coeff0, *basis), [basis[1]])
@@ -82,4 +83,20 @@ def reference_forge(params, sk_prefix: int, i: int, rng: random.Random) -> Forge
     pk = PublicKey(combo(sk_prefix, dif_pt), x_t, combo(sk_prefix + 1, dif_pt))
     m2 = 3**i - sk_prefix
     pk_second = PublicKey(combo(m2, sum_pt), x_t, combo(m2 - 1, sum_pt))
-    return ForgedKeys(pk=pk, pk_second=pk_second)
+    return pk, pk_second
+
+
+def reference_candidates(walk, pk: PublicKey) -> tuple:
+    """The candidate kernels for the walk's trit from the forged pk alone:
+    the triple pushed back through the walk's duals to the A = 6 curve, then
+    [3^(e3-1-i)](P~ + [sk + t*3^i]Q~) by a three-point ladder for each t."""
+    params, i = walk.params, walk.i
+    F = params.field
+    pts = [xpoint_from_affine(x, F) for x in (pk.xP, pk.xQ, pk.xPQ)]
+    for dual in reversed(walk.duals):
+        pts = [xeval3(pt, dual) for pt in pts]
+    coeff = params.coeff0
+    return tuple(
+        xtpl_e(ladder3pt(walk.sk + t * 3**i, *pts, coeff), coeff, params.e3 - 1 - i)
+        for t in range(3)
+    )

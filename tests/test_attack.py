@@ -8,15 +8,24 @@ from sidhlab.attack import (
     candidate_kernels,
     forge_public_keys,
     PrefixWalk,
+    _ternary_step,
     infer_trit,
     prefix_walk,
     recover_key,
 )
 from sidhlab.faultsim import make_oracle
-from sidhlab.montgomery import affine_a_from_projective, x_affine, xpoint_eq, xpoint_in_fp, xtpl
+from sidhlab.montgomery import (
+    affine_a_from_projective,
+    ladder3pt,
+    x_affine,
+    xadd,
+    xpoint_eq,
+    xpoint_in_fp,
+    xtpl,
+)
 from sidhlab.protocol import BOB, derive_with_trace, keygen, param_gen
 
-from helpers import prefix_chain, public_basis, reference_forge
+from helpers import prefix_chain, public_basis, reference_candidates, reference_forge
 
 
 class TestForge:
@@ -150,8 +159,10 @@ class TestCarriedWalk:
                     assert forged.pk == public_basis(mid, BOB)
                 else:
                     ref = reference_forge(mid, prefix, i, random.Random(sk + i))
-                    assert (forged.pk, forged.pk_second) == (ref.pk, ref.pk_second), (sk, i)
+                    assert (forged.pk, forged.pk_second) == ref, (sk, i)
                 cands = candidate_kernels(walk, forged)
+                ref_cands = reference_candidates(walk, forged.pk)
+                assert [x_affine(c) for c in cands] == [x_affine(c) for c in ref_cands], (sk, i)
                 s_i = sk // 3**i % 3
                 for pk, t in ((forged.pk, s_i), (forged.pk_second, (s_i + 1) % 3)):
                     _, trace = derive_with_trace(mid, BOB, sk, pk)
@@ -169,6 +180,60 @@ class TestCarriedWalk:
     def test_step_rejects_a_non_trit(self, toy):
         with pytest.raises(ValueError):
             PrefixWalk.start(toy).step(3)
+
+
+def _chain(xP, xQ, xD, k, digits, coeff):
+    """x(P + [k]Q) and x(P + [k - 3^digits]Q) by _ternary_step over the
+    base-3 digits of k, from x(P), x(Q) and x(P - Q)."""
+    a, b, d = xP, xQ, xD
+    for j in range(digits):
+        a, d = _ternary_step(a, b, d, k // 3**j % 3)
+        b = xtpl(b, coeff)
+    return a, d
+
+
+class TestTernaryChains:
+    """The digit chains agree with the binary three-point ladder."""
+
+    @staticmethod
+    def _check(params, k, digits):
+        coeff = params.coeff0
+        xP, xQ, xD = params.basis_xpoints(BOB)
+        a, d = _chain(xP, xQ, xD, k, digits, coeff)
+        assert x_affine(a) == x_affine(ladder3pt(k, xP, xQ, xD, coeff)), (k, digits)
+        # P + [k - 3^m]Q = P + [3^m - k](-Q), whose difference with P is P + Q
+        xS = xadd(xP, xQ, xD)
+        assert x_affine(d) == x_affine(ladder3pt(3**digits - k, xP, xQ, xS, coeff)), (k, digits)
+
+    def test_every_scalar_on_toy431(self, toy):
+        for digits in range(toy.e3 + 1):
+            for k in range(3**digits):
+                self._check(toy, k, digits)
+
+    def test_random_scalars_on_p434(self, p434):
+        r = random.Random(434)
+        for digits in (1, 5, 40, p434.e3):
+            self._check(p434, r.randrange(3**digits), digits)
+
+    def test_rejects_a_non_trit(self, toy):
+        xP, xQ, xD = toy.basis_xpoints(BOB)
+        with pytest.raises(ValueError):
+            _ternary_step(xP, xQ, xD, 3)
+
+
+def test_first_p434_trits_match_the_ladder_recipes(p434):
+    """On p434, the forged pairs equal the fresh-walk ladder recipe and the
+    candidates equal the three-ladder recipe by affine x."""
+    sk = random.Random(5).randrange(3**p434.e3)
+    walk = PrefixWalk.start(p434)
+    for i in range(4):
+        forged = forge_public_keys(walk, random.Random(i))
+        if i:
+            assert (forged.pk, forged.pk_second) == reference_forge(p434, walk.sk, i, random.Random(i))
+        cands = candidate_kernels(walk, forged)
+        ref = reference_candidates(walk, forged.pk)
+        assert [x_affine(c) for c in cands] == [x_affine(c) for c in ref], i
+        walk = walk.step(sk // 3**i % 3)
 
 
 class TestInferTrit:

@@ -209,6 +209,54 @@ class TestKeygenDerive:
         assert res.exit_code == 2
 
 
+def _usage_error(res, text):
+    """Exit 2, no traceback, and exactly one error line, which names text."""
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and text in errors[0], res.output
+
+
+class TestUntrustedInput:
+    """Files and keys the CLI cannot use give a usage error, never a traceback."""
+
+    def test_degenerate_chain_pk(self, runner, tmp_path):
+        # a random toy431 triple: it sits on a curve, but Bob's chain on it
+        # hits a kernel of the wrong order at step 0
+        pk = tmp_path / "pk.txt"
+        pk.write_text(
+            "params=toy431\np=1af\nside=alice\n"
+            "xP=0044,0123\nxQ=019a,0187\nxPQ=0020,0082\n"
+        )
+        res = runner.invoke(
+            main, ["derive", "--params", "toy431", "--side", "bob", "--sk", "5", "--pk", str(pk)]
+        )
+        _usage_error(res, "degenerate")
+
+    def test_pk_file_missing_a_key(self, runner, tmp_path):
+        pk = tmp_path / "pk.txt"
+        runner.invoke(
+            main, ["keygen", "--params", "toy431", "--side", "bob", "--sk", "5", "--out", str(pk)]
+        )
+        pk.write_text("".join(l for l in pk.read_text().splitlines(True) if not l.startswith("xQ=")))
+        res = runner.invoke(
+            main, ["derive", "--params", "toy431", "--side", "alice", "--sk", "3", "--pk", str(pk)]
+        )
+        _usage_error(res, "'xQ'")
+
+    def test_params_file_missing_a_key(self, runner, tmp_path):
+        from sidhlab.protocol import bundled_params, save_params
+
+        path = tmp_path / "params.txt"
+        save_params(bundled_params("toy431"), path)
+        path.write_text("".join(l for l in path.read_text().splitlines(True) if not l.startswith("e3=")))
+        res = runner.invoke(
+            main,
+            ["keygen", "--params", str(path), "--side", "bob", "--sk", "5", "--out", str(tmp_path / "k")],
+        )
+        _usage_error(res, "'e3'")
+
+
 class TestCountermeasureBench:
     def test_bench_json(self, runner, tmp_path):
         out = tmp_path / "bench.json"

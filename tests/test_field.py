@@ -4,7 +4,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sidhlab.field import FieldParams, Fp2, Fp2Field, _strong_lucas_probable_prime, is_probable_prime
+from sidhlab.field import (
+    FieldParams,
+    Fp2,
+    Fp2Field,
+    _jacobi,
+    _strong_lucas_probable_prime,
+    is_probable_prime,
+)
 
 P = 431
 
@@ -100,6 +107,32 @@ class TestSquares:
             x = F431.random_nonzero(rng)
             y = F431.random_nonzero(rng)
             assert F431.is_square(x * y) == (F431.is_square(x) == F431.is_square(y))
+
+    def test_legendre_is_eulers_criterion_on_p434(self, p434):
+        """The Jacobi-symbol Legendre equals v^((p-1)/2) on p434 residues."""
+        F = p434.field
+        p = int(F.p)
+        r = random.Random(434)
+        for v in [0, 1, 2, p - 1] + [r.randrange(p) for _ in range(300)]:
+            e = pow(v, (p - 1) // 2, p)
+            assert F._legendre(v) == (-1 if e == p - 1 else e), v
+
+    def test_jacobi_is_the_product_of_legendre_symbols(self):
+        """(a/n) for odd n < 300 equals the product of (a/q) over the prime
+        factors q of n, each by Euler's criterion."""
+        for n in range(3, 300, 2):
+            factors, m, q = [], n, 3
+            while m > 1:
+                while m % q == 0:
+                    factors.append(q)
+                    m //= q
+                q += 2
+            for a in range(-n, 2 * n):
+                want = 1
+                for q in factors:
+                    e = pow(a, (q - 1) // 2, q)
+                    want *= -1 if e == q - 1 else e
+                assert _jacobi(a, n) == want, (a, n)
 
 
 coord = st.integers(min_value=0, max_value=P - 1)
