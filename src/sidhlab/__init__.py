@@ -9,8 +9,8 @@ Everything here is a research simulator: arithmetic is NOT constant-time and
 must never be used to protect real traffic.
 """
 
-from .field import FieldParams, Fp2, Fp2Field
+from .field import FieldParams, Fp2, Fp2Field, SidhlabInputError
 
-__all__ = ["FieldParams", "Fp2", "Fp2Field"]
+__all__ = ["FieldParams", "Fp2", "Fp2Field", "SidhlabInputError"]
 
 __version__ = "0.1.0"

@@ -2,13 +2,13 @@
 fault-attack campaign runner, and the countermeasure bench.
 
 Reports are JSON-lines (one trial per line, aggregate summary last).  A
-trial whose recovery raises OracleContradictionError or DegenerateChainError
+trial whose recovery raises OracleContradictionError or a SidhlabInputError
 is reported with success false and the class name under "error", and the
 campaign goes on.  Exit status is 0 when every trial succeeded, 1 on any
 recovery mismatch or failed trial, 2 for usage or I/O problems.  Untrusted
-input (a parameter file, a public-key file, a public key whose chain
-degenerates) that cannot be used is a usage problem: exit 2 with one error
-line, never a traceback.
+input that cannot be used (a parameter file, a public-key file, a public key
+whose chain degenerates) makes the library raise SidhlabInputError, a
+ValueError: a usage problem, exit 2 with one error line, never a traceback.
 """
 
 from __future__ import annotations
@@ -26,18 +26,20 @@ import click
 
 from . import attack as attack_mod
 from . import countermeasure as cm
-from .faultsim import MALFORMED_PK_ERRORS, make_oracle, oracle_randomized
+from .faultsim import make_oracle, oracle_randomized
+from .field import SidhlabInputError
 from .montgomery import xpoint_in_fp
 from .protocol import (
     ALICE,
     BOB,
-    DegenerateChainError,
     PublicKey,
     SidhParams,
     bundled_params,
     derive,
+    dumps_public_key,
     keygen,
-    load_params,
+    loads_params,
+    loads_public_key,
     param_gen,
     save_params,
 )
@@ -68,15 +70,18 @@ class TrialReport:
 def _load(params_arg: str) -> SidhParams:
     if params_arg in BUNDLED:
         return bundled_params(params_arg)
-    path = Path(params_arg)
-    if not path.exists():
+    if not Path(params_arg).exists():
         raise click.UsageError(f"no such parameter set or file: {params_arg}")
+    return _parse_file("parameter", params_arg, loads_params)
+
+
+def _parse_file(kind: str, path: str, loads, *args):
+    """loads(the text of path, *args); a file that cannot be read or used
+    is a usage error."""
     try:
-        return load_params(path)
-    except KeyError as exc:
-        raise click.UsageError(f"parameter file {params_arg} has no {exc.args[0]!r} entry")
+        return loads(Path(path).read_text(), *args)
     except (OSError, ValueError) as exc:
-        raise click.UsageError(f"bad parameter file {params_arg}: {exc}")
+        raise click.UsageError(f"bad {kind} file {path}: {exc}")
 
 
 @click.group()
@@ -102,7 +107,7 @@ def params_gen(e2: int, e3: int, seed: int, out: str, name: Optional[str]):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     save_params(ps, out)
-    click.echo(f"p = {format(int(ps.field_params.p), 'x')}")
+    click.echo(f"p = {ps.field_params.p:x}")
     click.echo(f"wrote {out}")
 
 
@@ -125,7 +130,7 @@ def _run_trial(args) -> TrialReport:
     t0 = time.perf_counter()
     try:
         state = attack_mod.recover_key(ps, counted, bob_pk, rng)
-    except (attack_mod.OracleContradictionError, DegenerateChainError) as exc:
+    except (attack_mod.OracleContradictionError, SidhlabInputError) as exc:
         duration = time.perf_counter() - t0
         return TrialReport(ps.name, seed, ps.e3, False, calls, {}, duration, type(exc).__name__)
     duration = time.perf_counter() - t0
@@ -262,36 +267,6 @@ def countermeasure_bench(params_arg, k, trials, seed, json_out):
         sys.exit(1)
 
 
-def _write_pk(path: str, ps: SidhParams, side: str, pk: PublicKey) -> None:
-    F = ps.field
-    lines = [
-        f"params={ps.name}",
-        f"p={format(int(ps.field_params.p), 'x')}",
-        f"side={side}",
-        f"xP={F.encode(pk.xP)}",
-        f"xQ={F.encode(pk.xQ)}",
-        f"xPQ={F.encode(pk.xPQ)}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _read_pk(path: str, ps: SidhParams) -> tuple[str, PublicKey]:
-    F = ps.field
-    try:
-        kv = {}
-        for line in Path(path).read_text().splitlines():
-            if line.strip() and not line.startswith("#"):
-                key, _, value = line.partition("=")
-                kv[key.strip()] = value.strip()
-        if int(kv["p"], 16) != int(ps.field_params.p):
-            raise click.UsageError("public key was produced under different parameters")
-        return kv["side"], PublicKey(F.decode(kv["xP"]), F.decode(kv["xQ"]), F.decode(kv["xPQ"]))
-    except KeyError as exc:
-        raise click.UsageError(f"public-key file {path} has no {exc.args[0]!r} entry")
-    except ValueError as exc:
-        raise click.UsageError(f"bad public-key file {path}: {exc}")
-
-
 @main.command("keygen")
 @click.option("--params", "params_arg", type=str, required=True)
 @click.option("--side", type=click.Choice([ALICE, BOB]), required=True)
@@ -302,9 +277,9 @@ def keygen_cmd(params_arg, side, sk, out):
     ps = _load(params_arg)
     try:
         pk = keygen(ps, side, sk)
-    except (ValueError, DegenerateChainError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
-    _write_pk(out, ps, side, pk)
+    Path(out).write_text(dumps_public_key(ps, side, pk))
     click.echo(f"wrote {out}")
 
 
@@ -316,12 +291,12 @@ def keygen_cmd(params_arg, side, sk, out):
 def derive_cmd(params_arg, side, sk, pk_path):
     """Print the shared j-invariant for a private scalar and a peer key."""
     ps = _load(params_arg)
-    pk_side, pk = _read_pk(pk_path, ps)
+    pk_side, pk = _parse_file("public-key", pk_path, loads_public_key, ps)
     if pk_side == side:
         raise click.UsageError(f"cannot derive {side} against a {pk_side} public key")
     try:
         j = derive(ps, side, sk, pk)
-    except (ValueError, *MALFORMED_PK_ERRORS) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
     click.echo(ps.field.encode(j))
 

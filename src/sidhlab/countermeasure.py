@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .field import Fp2
 from .isogeny import IsogenyStep, strategy_eval3
@@ -170,11 +170,3 @@ def derive_bob_naive_reject(params: SidhParams, sk: int, pk: PublicKey) -> Naive
         shared_j=j_invariant(affine_a_from_projective(final), params.field),
     )
 
-
-def make_reject_oracle(params: SidhParams, sk: int) -> Callable[[PublicKey], bool]:
-    """True iff the naive GF(p)-reject responder rejects the public key."""
-
-    def _oracle(pk: PublicKey) -> bool:
-        return not derive_bob_naive_reject(params, sk, pk).accepted
-
-    return _oracle

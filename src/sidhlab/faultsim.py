@@ -7,7 +7,8 @@ already performs (a faulted coefficient outside GF(p) derails the very next
 kernel) and (b) a final-curve spot check that three random on-curve points
 are annihilated by p + 1.  Honest GF(p)-coefficient faults are literal
 no-ops, so the whole run, including the final j-invariant, is unchanged.
-Both oracles map every malformed public key to bit 0.
+Both oracles map every malformed public key to bit 0 by catching
+SidhlabInputError; a plain ValueError (an out-of-range i or sk) propagates.
 """
 
 from __future__ import annotations
@@ -18,16 +19,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .countermeasure import PushforwardConfig, two_power_walk
-from .field import Fp2Field
+from .field import Fp2Field, SidhlabInputError
 from .isogeny import ChainTrace, FaultHook, strategy_eval3
 from .montgomery import (
     DegenerateCoefficientError,
     MontgomeryCurve,
     ProjCoeff,
-    SamplingExhaustedError,
-    SingularCurveError,
     affine_a_from_projective,
-    coeff_from_a,
     coeff_in_fp,
     ladder3pt,
     xdbl_e,
@@ -36,8 +34,6 @@ from .montgomery import (
 )
 from .protocol import (
     BOB,
-    DegenerateChainError,
-    InconsistentPublicKeyError,
     PublicKey,
     SidhParams,
     chain_inputs,
@@ -46,16 +42,6 @@ from .protocol import (
 )
 
 SPOT_CHECK_POINTS = 3
-
-# What a malformed pk can raise before the faulted 3-chain: no curve carries
-# the triple, or the curve is singular or cannot be masked.  Each gives bit 0.
-MALFORMED_PK_ERRORS = (
-    InconsistentPublicKeyError,
-    SingularCurveError,
-    SamplingExhaustedError,
-    DegenerateChainError,
-    ZeroDivisionError,
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,7 +71,7 @@ def oracle(
     hook = _fault_hook(params, i)
     try:
         final, trace = derive_with_trace(params, BOB, sk_bob, pk, hook)
-    except MALFORMED_PK_ERRORS:
+    except SidhlabInputError:
         return OracleVerdict(bit=0, failure_step=-1)
     bit, failure_step = _verdict(params, final, trace, random.Random(_spot_seed(params, pk, i)))
     return OracleVerdict(bit, failure_step, trace if keep_trace else None)
@@ -111,7 +97,7 @@ def oracle_randomized(
         if k > 0:
             R = sample_torsion_x(params, E_A, 2, k, rng)
             coeff, triple = two_power_walk(R, coeff, k, triple, F)
-    except MALFORMED_PK_ERRORS:
+    except SidhlabInputError:
         return 0
     kernel = ladder3pt(sk, *triple, coeff)
     final, _, trace = strategy_eval3(kernel, coeff, params.strategy3, (), hook)
@@ -151,16 +137,12 @@ def _spot_seed(params: SidhParams, pk: PublicKey, i: int) -> int:
 
 def _supersingular_spot_check(params: SidhParams, coeff, rng: random.Random) -> bool:
     """Sample on-curve points and require [p+1]P = [2^e2][3^e3]P = infinity."""
-    try:
-        A = affine_a_from_projective(coeff)
-    except DegenerateCoefficientError:
-        return False
     F = params.field
-    try:
-        E = MontgomeryCurve(A, F)
-    except ValueError:
+    try:  # alpha = beta, or a singular curve
+        E = MontgomeryCurve(affine_a_from_projective(coeff), F)
+    except SidhlabInputError:
         return False
-    cc = coeff_from_a(A, F)
+    cc = E.coeff()
     checked = 0
     tries = 0
     while checked < SPOT_CHECK_POINTS and tries < 100 * SPOT_CHECK_POINTS:

@@ -14,18 +14,22 @@ import math
 import random
 from dataclasses import dataclass
 
-try:  # big-int kernels: ~2.5x mul, ~10x inversion at 434 bits
-    from gmpy2 import invert as _invert, mpz as _mpz, powmod as _powmod
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _mpz = int
+_mpz = int  # read by perfbench/run.py for the backend line of its reports
 
-    def _invert(x, p):
-        if x % p == 0:  # as gmpy2.invert does; pow() would raise ValueError
-            raise ZeroDivisionError("inverse of zero")
-        return pow(x, -1, p)
+MAX_P_BITS = 1024  # SIKE's p751 fits; a larger p would stall the primality test
 
-    def _powmod(x, e, p):
-        return pow(x, e, p)
+
+class SidhlabInputError(ValueError):
+    """A key, parameter set or file that cannot be used: the one class, with
+    its subclasses, that the library raises for untrusted input."""
+
+
+def parse_int(s: str, base: int = 10) -> int:
+    """int(s, base), with SidhlabInputError for text that is not a number."""
+    try:
+        return int(s, base)
+    except ValueError:
+        raise SidhlabInputError(f"{s!r} is not a number") from None
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -98,17 +102,19 @@ class FieldParams:
     @classmethod
     def from_exponents(cls, e2: int, e3: int) -> "FieldParams":
         if e2 < 2 or e3 < 1:
-            raise ValueError("need e2 >= 2 and e3 >= 1")
+            raise SidhlabInputError("need e2 >= 2 and e3 >= 1")
+        if e3 > MAX_P_BITS or e2 + (3**e3).bit_length() > MAX_P_BITS:  # p's bit length
+            raise SidhlabInputError(f"2^{e2} * 3^{e3} - 1 exceeds {MAX_P_BITS} bits")
         p = (1 << e2) * 3**e3 - 1
         if not is_probable_prime(p):
-            raise ValueError(f"2^{e2} * 3^{e3} - 1 = {p} is not prime")
+            raise SidhlabInputError(f"2^{e2} * 3^{e3} - 1 = {p} is not prime")
         return cls(p=p, e2=e2, e3=e3)
 
     def __post_init__(self):
         if self.p != (1 << self.e2) * 3**self.e3 - 1:
-            raise ValueError("p does not match 2^e2 * 3^e3 - 1")
+            raise SidhlabInputError("p does not match 2^e2 * 3^e3 - 1")
         if self.p % 4 != 3:
-            raise ValueError("p = 3 (mod 4) required")
+            raise SidhlabInputError("p = 3 (mod 4) required")
 
 
 class Fp2:
@@ -123,8 +129,8 @@ class Fp2:
     __slots__ = ("re", "im", "p")
 
     def __init__(self, re, im, p):
-        self.re = _mpz(re) % p
-        self.im = _mpz(im) % p
+        self.re = re % p
+        self.im = im % p
         self.p = p
 
     @staticmethod
@@ -168,7 +174,9 @@ class Fp2:
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
         p = self.p
         norm = (self.re * self.re + self.im * self.im) % p
-        d = _invert(norm, p)  # ZeroDivisionError for norm == 0
+        if not norm:
+            raise ZeroDivisionError("inverse of zero")
+        d = pow(norm, -1, p)
         return Fp2._raw((self.re * d) % p, (-self.im * d) % p, p)
 
     def is_zero(self) -> bool:
@@ -183,10 +191,10 @@ class Fp2:
         return self.re == other.re and self.im == other.im and self.p == other.p
 
     def __hash__(self):
-        return hash((int(self.re), int(self.im), int(self.p)))
+        return hash((self.re, self.im, self.p))
 
     def __repr__(self):
-        return f"Fp2({int(self.re)}, {int(self.im)})"
+        return f"Fp2({self.re}, {self.im})"
 
 
 class Fp2Field:
@@ -194,7 +202,7 @@ class Fp2Field:
 
     def __init__(self, params: FieldParams):
         self.params = params
-        self.p = _mpz(params.p)
+        self.p = params.p
         self.zero = Fp2(0, 0, self.p)
         self.one = Fp2(1, 0, self.p)
         self._nbytes = (params.p.bit_length() + 7) // 8
@@ -203,8 +211,7 @@ class Fp2Field:
         return Fp2(re, im, self.p)
 
     def random_element(self, rng: random.Random) -> Fp2:
-        p = int(self.p)
-        return Fp2._raw(_mpz(rng.randrange(p)), _mpz(rng.randrange(p)), self.p)
+        return Fp2._raw(rng.randrange(self.p), rng.randrange(self.p), self.p)
 
     def random_nonzero(self, rng: random.Random) -> Fp2:
         while True:
@@ -222,7 +229,7 @@ class Fp2Field:
 
     def _sqrt_fp(self, v):
         """Square root in GF(p) via v^((p+1)/4); p = 3 (mod 4)."""
-        r = _powmod(v, (self.p + 1) >> 2, self.p)
+        r = pow(v, (self.p + 1) >> 2, self.p)
         if (r * r) % self.p != v % self.p:
             raise ValueError("not a square in GF(p)")
         return r
@@ -248,41 +255,41 @@ class Fp2Field:
             return self.zero
         if x.im == 0:
             if self._legendre(x.re) == 1:
-                root = Fp2._raw(self._sqrt_fp(x.re), _mpz(0), p)
+                root = Fp2._raw(self._sqrt_fp(x.re), 0, p)
             else:
                 # (i*w)^2 = -w^2, so lift through the imaginary axis
-                root = Fp2._raw(_mpz(0), self._sqrt_fp(-x.re % p), p)
+                root = Fp2._raw(0, self._sqrt_fp(-x.re % p), p)
         else:
             norm = (x.re * x.re + x.im * x.im) % p
             if self._legendre(norm) != 1:
                 raise ValueError("not a square in GF(p^2)")
             s = self._sqrt_fp(norm)
-            half = _invert(_mpz(2), p)
+            half = pow(2, -1, p)
             t = ((x.re + s) * half) % p
             if self._legendre(t) != 1:
                 t = ((x.re - s) * half) % p
             re = self._sqrt_fp(t)
-            im = (x.im * _invert(2 * re % p, p)) % p
+            im = (x.im * pow(2 * re, -1, p)) % p
             root = Fp2._raw(re, im, p)
         if root.sqr() != x:
             raise ValueError("not a square in GF(p^2)")
         neg = -root
-        return root if (int(root.im), int(root.re)) <= (int(neg.im), int(neg.re)) else neg
+        return root if (root.im, root.re) <= (neg.im, neg.re) else neg
 
     # --- serialization: big-endian hex, zero-padded to the field size -------
 
-    def encode_fp(self, v) -> str:
-        return format(int(v) % int(self.p), f"0{2 * self._nbytes}x")
+    def encode_fp(self, v: int) -> str:
+        return format(v % self.p, f"0{2 * self._nbytes}x")
 
-    def decode_fp(self, s: str):
-        v = int(s, 16)
-        if v >= self.p:
-            raise ValueError("encoded value exceeds the field modulus")
-        return _mpz(v)
+    def decode_fp(self, s: str) -> int:
+        v = parse_int(s, 16)
+        if not 0 <= v < self.p:
+            raise SidhlabInputError("encoded value outside [0, p)")
+        return v
 
     def encode(self, x: Fp2) -> str:
         return f"{self.encode_fp(x.re)},{self.encode_fp(x.im)}"
 
     def decode(self, s: str) -> Fp2:
-        re_s, im_s = s.strip().split(",")
+        re_s, _, im_s = s.partition(",")
         return Fp2._raw(self.decode_fp(re_s), self.decode_fp(im_s), self.p)

@@ -19,18 +19,18 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .field import Fp2, Fp2Field
+from .field import Fp2, Fp2Field, SidhlabInputError
 
 
-class DegenerateCoefficientError(ValueError):
+class DegenerateCoefficientError(SidhlabInputError):
     """alpha = beta: the affine coefficient A is undefined (singular curve)."""
 
 
-class SingularCurveError(ValueError):
+class SingularCurveError(SidhlabInputError):
     """A^2 = 4: the curve is singular."""
 
 
-class SamplingExhaustedError(RuntimeError):
+class SamplingExhaustedError(SidhlabInputError):
     """Bounded rejection sampling ran out of tries; parameters look corrupt."""
 
 
@@ -394,11 +394,6 @@ class MontgomeryCurve:
             k >>= 1
         return R
 
-    def xpoint(self, P: FullPoint) -> XPoint:
-        if P.infinity:
-            return xpoint_infinity(self.field)
-        return xpoint_from_affine(P.x, self.field)
-
 
 def sample_point_of_order(
     curve: MontgomeryCurve,
@@ -420,7 +415,7 @@ def sample_point_of_order(
         e += 1
     if m != 1:
         raise ValueError("order must be a power of 2 or 3")
-    p = int(curve.field.p)
+    p = curve.field.p
     if (p + 1) % d != 0:
         raise ValueError("order does not divide p + 1")
     cofactor = (p + 1) // d

@@ -1,5 +1,6 @@
 """SIDH key generation and shared-secret derivation for both sides, plus
-parameter-set construction, validation, and the on-disk parameter format.
+parameter-set construction, validation, and the on-disk formats of
+parameter sets and public keys.
 
 Conventions (SIKE-shaped):
   - starting curve A = 6,
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from importlib.resources import files
 from typing import Optional
 
-from .field import FieldParams, Fp2, Fp2Field
+from .field import FieldParams, Fp2, Fp2Field, SidhlabInputError, parse_int
 from .isogeny import (
     ChainTrace,
     FaultHook,
@@ -51,11 +52,11 @@ ALICE = "alice"
 BOB = "bob"
 
 
-class InconsistentPublicKeyError(ValueError):
+class InconsistentPublicKeyError(SidhlabInputError):
     """The three x-coordinates cannot sit on one curve as (P, Q, P-Q)."""
 
 
-class DegenerateChainError(RuntimeError):
+class DegenerateChainError(SidhlabInputError):
     """An isogeny chain hit a kernel that failed its order check."""
 
 
@@ -125,7 +126,7 @@ class SidhParams:
     def validate(self) -> None:
         F = self.field
         if self.e2 % 2 != 0:
-            raise ValueError("e2 must be even (4-isogeny chains only)")
+            raise SidhlabInputError("e2 must be even (4-isogeny chains only)")
         coeff = self.coeff0
         xPA, xQA, xDA = self.basis_xpoints(ALICE)
         xPB, xQB, xDB = self.basis_xpoints(BOB)
@@ -136,32 +137,32 @@ class SidhParams:
             ("x(QB)", xQB, 3, self.e3),
         ):
             if exact_order_multiple(P, coeff, ell, e) is None:
-                raise ValueError(f"{label} does not have exact order {ell}^{e}")
+                raise SidhlabInputError(f"{label} does not have exact order {ell}^{e}")
         pa2 = xdbl_e(xPA, coeff, self.e2 - 1)
         qa2 = xdbl_e(xQA, coeff, self.e2 - 1)
         if x_affine(pa2) == x_affine(qa2):
-            raise ValueError("Alice basis is dependent")
+            raise SidhlabInputError("Alice basis is dependent")
         if not x_affine(qa2).is_zero():
-            raise ValueError("[2^(e2-1)]QA must be (0, 0)")
+            raise SidhlabInputError("[2^(e2-1)]QA must be (0, 0)")
         if x_affine(pa2).is_zero():
-            raise ValueError("[2^(e2-1)]PA must avoid (0, 0)")
+            raise SidhlabInputError("[2^(e2-1)]PA must avoid (0, 0)")
         pb3 = xtpl_e(xPB, coeff, self.e3 - 1)
         qb3 = xtpl_e(xQB, coeff, self.e3 - 1)
         if x_affine(pb3) == x_affine(qb3):
-            raise ValueError("Bob basis is dependent")
+            raise SidhlabInputError("Bob basis is dependent")
         if self.xPB.im != 0 or self.xQB.im != 0:
-            raise ValueError("x(PB), x(QB) must lie in GF(p)")
+            raise SidhlabInputError("x(PB), x(QB) must lie in GF(p)")
         if self.xDB.im == 0:
-            raise ValueError("x(PB - QB) must not lie in GF(p)")
+            raise SidhlabInputError("x(PB - QB) must not lie in GF(p)")
         for (xP, xQ, xD, label) in (
             (self.xPA, self.xQA, self.xDA, "Alice"),
             (self.xPB, self.xQB, self.xDB, "Bob"),
         ):
             if not _difference_consistent(xP, xQ, xD, F(6), F):
-                raise ValueError(f"{label} difference x-coordinate is inconsistent")
+                raise SidhlabInputError(f"{label} difference x-coordinate is inconsistent")
         for s, n in ((self.strategy3, self.e3), (self.strategy4, self.e2 // 2)):
             if not validate_strategy(s, n):
-                raise ValueError("invalid default strategy")
+                raise SidhlabInputError("invalid default strategy")
 
 
 def _difference_consistent(xP: Fp2, xQ: Fp2, xD: Fp2, A: Fp2, F: Fp2Field) -> bool:
@@ -279,7 +280,9 @@ def derive_with_trace(
 def derive(params: SidhParams, side: str, sk: int, pk: PublicKey) -> Fp2:
     """Honest derive: the shared j-invariant.
 
-    Raises DegenerateChainError when a malicious pk corrupts the chain.
+    Raises SidhlabInputError for a pk it cannot use (DegenerateChainError
+    when the pk corrupts the chain), and a plain ValueError for a bad side
+    or sk.
     """
     final, trace = derive_with_trace(params, side, sk, pk)
     if not trace.completed:
@@ -295,7 +298,7 @@ def _check_sk(params: SidhParams, side: str, sk: int) -> None:
 
 
 # --------------------------------------------------------------------------
-# Parameter generation and the key=value parameter file format.
+# Parameter generation and the key=value parameter and public-key files.
 # --------------------------------------------------------------------------
 
 
@@ -311,7 +314,7 @@ def param_gen(
     """
     fp = FieldParams.from_exponents(e2, e3)
     if e2 % 2 != 0:
-        raise ValueError("e2 must be even")
+        raise SidhlabInputError("e2 must be even")
     F = Fp2Field(fp)
     E = MontgomeryCurve(F(6), F)
     p = fp.p
@@ -376,6 +379,7 @@ def param_gen(
 
 
 PARAM_KEYS = ("xPA", "xQA", "xDA", "xPB", "xQB", "xDB")
+PK_KEYS = ("xP", "xQ", "xPQ")
 
 
 def save_params(params: SidhParams, path) -> None:
@@ -385,7 +389,7 @@ def save_params(params: SidhParams, path) -> None:
         f"name={params.name}",
         f"e2={params.e2}",
         f"e3={params.e3}",
-        f"p={format(int(params.field_params.p), 'x')}",
+        f"p={params.field_params.p:x}",
         "A=" + F.encode(F(6)),
     ]
     for key in PARAM_KEYS:
@@ -394,25 +398,16 @@ def save_params(params: SidhParams, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_params(path) -> SidhParams:
-    with open(path) as fh:
-        return loads_params(fh.read())
-
-
 def loads_params(text: str) -> SidhParams:
-    kv = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
-    fp = FieldParams.from_exponents(int(kv["e2"]), int(kv["e3"]))
-    if int(kv["p"], 16) != fp.p:
-        raise ValueError("parameter file p does not match its exponents")
+    """Parse and validate a parameter file; SidhlabInputError when it
+    cannot be used."""
+    kv = _entries(text, ("e2", "e3", "p", "A") + PARAM_KEYS)
+    fp = FieldParams.from_exponents(parse_int(kv["e2"]), parse_int(kv["e3"]))
+    if parse_int(kv["p"], 16) != fp.p:
+        raise SidhlabInputError("parameter file p does not match its exponents")
     F = Fp2Field(fp)
     if F.decode(kv["A"]) != F(6):
-        raise ValueError("parameter file must use the A = 6 starting curve")
+        raise SidhlabInputError("parameter file must use the A = 6 starting curve")
     params = SidhParams(
         name=kv.get("name", "unnamed"),
         field_params=fp,
@@ -423,6 +418,41 @@ def loads_params(text: str) -> SidhParams:
     )
     params.validate()
     return params
+
+
+def dumps_public_key(params: SidhParams, side: str, pk: PublicKey) -> str:
+    """The public-key file: the parameter set it belongs to, the side that
+    made it, and the triple."""
+    F = params.field
+    lines = [f"params={params.name}", f"p={params.field_params.p:x}", f"side={side}"]
+    lines += [f"{key}={F.encode(getattr(pk, key))}" for key in PK_KEYS]
+    return "\n".join(lines) + "\n"
+
+
+def loads_public_key(text: str, params: SidhParams) -> tuple[str, PublicKey]:
+    """(side, public key) from a public-key file made under params;
+    SidhlabInputError when it cannot be used."""
+    kv = _entries(text, ("p", "side") + PK_KEYS)
+    if parse_int(kv["p"], 16) != params.field_params.p:
+        raise SidhlabInputError("public key was produced under different parameters")
+    if kv["side"] not in (ALICE, BOB):
+        raise SidhlabInputError(f"unknown side {kv['side']!r}")
+    return kv["side"], PublicKey(*(params.field.decode(kv[key]) for key in PK_KEYS))
+
+
+def _entries(text: str, required: tuple) -> dict:
+    """The key=value lines of a parameter or public-key file; blank lines
+    and # comments are skipped."""
+    kv = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            key, _, value = line.partition("=")
+            kv[key.strip()] = value.strip()
+    for key in required:
+        if key not in kv:
+            raise SidhlabInputError(f"no {key!r} entry")
+    return kv
 
 
 def bundled_params(name: str) -> SidhParams:

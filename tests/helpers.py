@@ -1,13 +1,14 @@
-"""Test-only helpers: views of the parameters and curves that the program
-itself never needs, and the forger's earlier recipes, kept as references for
-sidhlab.attack: the forged pair from a fresh ladder and strategy walk from
-E_0 per call, and the candidate kernels from three binary ladders over the
-pushed-back forged triple.
+"""Test-only helpers: views of the parameters, curves and responders that the
+program itself never needs, and the forger's earlier recipes, kept as
+references for sidhlab.attack: the forged pair from a fresh ladder and
+strategy walk from E_0 per call, and the candidate kernels from three binary
+ladders over the pushed-back forged triple.
 """
 
 import random
 
 from sidhlab.attack import OracleContradictionError
+from sidhlab.countermeasure import derive_bob_naive_reject
 from sidhlab.isogeny import ChainTrace, balanced_strategy, strategy_eval3, xeval3
 from sidhlab.montgomery import (
     FullPoint,
@@ -17,6 +18,7 @@ from sidhlab.montgomery import (
     ladder3pt,
     x_affine,
     xpoint_from_affine,
+    xpoint_infinity,
     xtpl_e,
 )
 from sidhlab.protocol import ALICE, BOB, PublicKey, chain_inputs, sample_torsion_x
@@ -27,6 +29,22 @@ def public_basis(params, side):
     if side == ALICE:
         return PublicKey(params.xPA, params.xQA, params.xDA)
     return PublicKey(params.xPB, params.xQB, params.xDB)
+
+
+def xpoint(curve: MontgomeryCurve, P: FullPoint):
+    """The x-only view of a full point."""
+    if P.infinity:
+        return xpoint_infinity(curve.field)
+    return xpoint_from_affine(P.x, curve.field)
+
+
+def make_reject_oracle(params, sk: int):
+    """True iff the naive GF(p)-reject responder rejects the public key."""
+
+    def _oracle(pk: PublicKey) -> bool:
+        return not derive_bob_naive_reject(params, sk, pk).accepted
+
+    return _oracle
 
 
 def on_curve(curve: MontgomeryCurve, P: FullPoint) -> bool:

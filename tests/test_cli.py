@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -18,9 +19,9 @@ class TestParamsGen:
         assert res.exit_code == 0, res.output
         assert "p = 1af" in res.output
         assert out.exists()
-        from sidhlab.protocol import load_params
+        from sidhlab.protocol import loads_params
 
-        load_params(out).validate()
+        loads_params(out.read_text()).validate()
 
     def test_non_prime_rejected(self, runner, tmp_path):
         res = runner.invoke(
@@ -255,6 +256,35 @@ class TestUntrustedInput:
             ["keygen", "--params", str(path), "--side", "bob", "--sk", "5", "--out", str(tmp_path / "k")],
         )
         _usage_error(res, "'e3'")
+
+    def test_pk_file_with_an_unknown_side(self, runner, tmp_path):
+        # a Bob key relabelled side=carol must not derive as if it were Bob's
+        pk = tmp_path / "pk.txt"
+        runner.invoke(
+            main, ["keygen", "--params", "toy431", "--side", "bob", "--sk", "5", "--out", str(pk)]
+        )
+        pk.write_text(pk.read_text().replace("side=bob", "side=carol"))
+        res = runner.invoke(
+            main, ["derive", "--params", "toy431", "--side", "alice", "--sk", "3", "--pk", str(pk)]
+        )
+        _usage_error(res, "'carol'")
+
+    def test_oversized_exponents_fail_fast(self, runner, tmp_path):
+        """p = 2^60000 * 3 - 1 is refused by its size, before any primality
+        test, both from params gen and from a parameter file."""
+        from sidhlab.protocol import bundled_params, save_params
+
+        path = tmp_path / "params.txt"
+        save_params(bundled_params("toy431"), path)
+        path.write_text(path.read_text().replace("e2=4\n", "e2=60000\n").replace("e3=3\n", "e3=1\n"))
+        for args in (
+            ["params", "gen", "--e2", "60000", "--e3", "1", "--out", str(tmp_path / "gen.txt")],
+            ["attack", "--params", str(path), "--trials", "1"],
+        ):
+            t0 = time.perf_counter()
+            res = runner.invoke(main, args)
+            assert time.perf_counter() - t0 < 1.0, args
+            _usage_error(res, "1024 bits")
 
 
 class TestCountermeasureBench:

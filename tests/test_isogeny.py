@@ -30,6 +30,7 @@ from sidhlab.montgomery import (
     zero_imaginary_parts,
 )
 
+from helpers import xpoint
 from velu_oracle import fit_linear, j_short_weierstrass, velu_isogeny
 
 
@@ -49,8 +50,8 @@ def all_points_of_order(E, d, rng, rounds=500):
 class TestIsogeny3:
     def test_kernel_maps_to_infinity(self, E, rng):
         K = sample_point_of_order(E, 3, rng)
-        step = xisog3(E.xpoint(K))
-        assert xeval3(E.xpoint(K), step).Z.is_zero()
+        step = xisog3(xpoint(E, K))
+        assert xeval3(xpoint(E, K), step).Z.is_zero()
 
     def test_codomain_and_xmap_match_velu(self, F431, E, rng):
         """Every order-3 kernel on the start curve: j of the codomain equals
@@ -59,7 +60,7 @@ class TestIsogeny3:
         kernels = all_points_of_order(E, 3, rng)
         assert len(kernels) == 4
         for K in kernels:
-            step = xisog3(E.xpoint(K))
+            step = xisog3(xpoint(E, K))
             A_new = affine_a_from_projective(step.new_coeff)
             a2, b2, xmap = velu_isogeny(E, K)
             assert j_invariant(A_new, F431) == j_short_weierstrass(a2, b2, F431)
@@ -92,8 +93,8 @@ class TestIsogeny3:
         Q = sample_point_of_order(E, 3, rng)
         while Q.x == K.x:
             Q = sample_point_of_order(E, 3, rng)
-        step = xisog3(E.xpoint(K))
-        imgQ = xeval3(E.xpoint(Q), step)
+        step = xisog3(xpoint(E, K))
+        imgQ = xeval3(xpoint(E, Q), step)
         back = xisog3(imgQ)
         assert j_invariant(affine_a_from_projective(back.new_coeff), F431) == j_invariant(E.A, F431)
 
@@ -101,7 +102,7 @@ class TestIsogeny3:
 class TestIsogeny4:
     def test_kernel_maps_to_infinity(self, F431, E, rng):
         for K in all_points_of_order(E, 4, rng):
-            xp = E.xpoint(K)
+            xp = xpoint(E, K)
             if (xp.X - xp.Z).is_zero() or (xp.X + xp.Z).is_zero():
                 continue
             assert xeval4(xp, xisog4(xp)).Z.is_zero()
@@ -109,7 +110,7 @@ class TestIsogeny4:
     def test_codomain_and_xmap_match_velu(self, F431, E, rng):
         checked = 0
         for K in all_points_of_order(E, 4, rng):
-            xp = E.xpoint(K)
+            xp = xpoint(E, K)
             if (xp.X - xp.Z).is_zero() or (xp.X + xp.Z).is_zero():
                 continue  # kernels above (0,0) are outside the formulas
             step = xisog4(xp)
@@ -140,11 +141,11 @@ class TestIsogeny4:
         while True:
             P16 = sample_point_of_order(E, 16, rng)
             K = E.scalar_mul(4, P16)
-            xp = E.xpoint(K)
+            xp = xpoint(E, K)
             if not ((xp.X - xp.Z).is_zero() or (xp.X + xp.Z).is_zero()):
                 break
         step = xisog4(xp)
-        img = xeval4(E.xpoint(P16), step)
+        img = xeval4(xpoint(E, P16), step)
         cc = step.new_coeff
         assert xdbl_e(img, cc, 2).is_infinity()
         assert not xdbl_e(img, cc, 1).is_infinity()
@@ -159,9 +160,9 @@ class TestStrategyEval:
         coeff = toy.coeff0
         for _ in range(10):
             R = sample_point_of_order(E, 27, rng)
-            final, _, trace = strategy_eval3(E.xpoint(R), coeff, toy.strategy3)
+            final, _, trace = strategy_eval3(xpoint(E, R), coeff, toy.strategy3)
             assert trace.completed
-            cur, cc = E.xpoint(R), coeff
+            cur, cc = xpoint(E, R), coeff
             for j in range(3):
                 K = xtpl_e(cur, cc, 3 - 1 - j)
                 step = xisog3(K)
@@ -174,8 +175,8 @@ class TestStrategyEval:
     def test_strategy_independence(self, toy, rng):
         E = toy.curve
         R = sample_point_of_order(E, 27, rng)
-        f1, _, _ = strategy_eval3(E.xpoint(R), toy.coeff0, [1, 1])
-        f2, _, _ = strategy_eval3(E.xpoint(R), toy.coeff0, [2, 1])
+        f1, _, _ = strategy_eval3(xpoint(E, R), toy.coeff0, [1, 1])
+        f2, _, _ = strategy_eval3(xpoint(E, R), toy.coeff0, [2, 1])
         F = toy.field
         assert j_invariant(affine_a_from_projective(f1), F) == j_invariant(
             affine_a_from_projective(f2), F
@@ -186,7 +187,7 @@ class TestStrategyEval:
         R = sample_point_of_order(E, 27, rng)
         PA = sample_point_of_order(E, 16, rng)
         final, pushed, trace = strategy_eval3(
-            E.xpoint(R), toy.coeff0, toy.strategy3, [E.xpoint(PA)]
+            xpoint(E, R), toy.coeff0, toy.strategy3, [xpoint(E, PA)]
         )
         assert trace.completed
         img = pushed[0]
@@ -264,7 +265,7 @@ class TestFaultHook:
         E = toy.curve
         R = sample_point_of_order(E, 27, rng)
         hook = FaultHook(target_index=0)
-        strategy_eval3(E.xpoint(R), toy.coeff0, toy.strategy3, (), hook)
+        strategy_eval3(xpoint(E, R), toy.coeff0, toy.strategy3, (), hook)
         assert hook.fired
         before = zero_imaginary_parts(toy.coeff0)
         assert hook.maybe_fire(0, toy.coeff0) == toy.coeff0  # second shot is dead
@@ -273,7 +274,7 @@ class TestFaultHook:
         E = toy.curve
         R = sample_point_of_order(E, 27, rng)
         hook = FaultHook(target_index=0, armed=False)
-        final, _, trace = strategy_eval3(E.xpoint(R), toy.coeff0, toy.strategy3, (), hook)
+        final, _, trace = strategy_eval3(xpoint(E, R), toy.coeff0, toy.strategy3, (), hook)
         assert trace.completed and not hook.fired and trace.fault_fired_at is None
 
 

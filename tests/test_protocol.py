@@ -27,7 +27,6 @@ from sidhlab.protocol import (
     derive_with_trace,
     get_a,
     keygen,
-    load_params,
     loads_params,
     param_gen,
     sample_torsion_x,
@@ -71,7 +70,7 @@ class TestParams:
     def test_file_roundtrip(self, toy, tmp_path):
         path = tmp_path / "toy.txt"
         save_params(toy, path)
-        again = load_params(path)
+        again = loads_params(path.read_text())
         assert again.xPA == toy.xPA and again.xDB == toy.xDB
 
     def test_file_rejects_wrong_p(self, toy, tmp_path):
