@@ -36,12 +36,12 @@ from .protocol import (
     SidhParams,
     bundled_params,
     derive,
+    dumps_params,
     dumps_public_key,
     keygen,
     loads_params,
     loads_public_key,
     param_gen,
-    save_params,
 )
 
 BUNDLED = ("toy431", "p434")
@@ -84,6 +84,14 @@ def _parse_file(kind: str, path: str, loads, *args):
         raise click.UsageError(f"bad {kind} file {path}: {exc}")
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; one that cannot be written is a usage error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc}")
+
+
 @click.group()
 def main():
     """SIDH + fault-injection laboratory."""
@@ -106,7 +114,7 @@ def params_gen(e2: int, e3: int, seed: int, out: str, name: Optional[str]):
         ps = param_gen(e2, e3, random.Random(seed), name=name)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    save_params(ps, out)
+    _write(out, dumps_params(ps))
     click.echo(f"p = {ps.field_params.p:x}")
     click.echo(f"wrote {out}")
 
@@ -190,14 +198,12 @@ def attack_cmd(params_arg, trials, seed, json_out, csv_out, jobs, stable_duratio
     lines.append(json.dumps(summary, sort_keys=True))
     text = "\n".join(lines) + "\n"
     if json_out:
-        Path(json_out).write_text(text)
+        _write(json_out, text)
     else:
         click.echo(text, nl=False)
     if csv_out:
         keys = ["param_set", "trials", "successes", "success_rate", "mean_oracle_calls", "mean_duration_s"]
-        Path(csv_out).write_text(
-            ",".join(keys) + "\n" + ",".join(str(summary[k]) for k in keys) + "\n"
-        )
+        _write(csv_out, ",".join(keys) + "\n" + ",".join(str(summary[k]) for k in keys) + "\n")
     if successes != n:
         sys.exit(1)
 
@@ -260,7 +266,7 @@ def countermeasure_bench(params_arg, k, trials, seed, json_out):
     }
     text = json.dumps(out, sort_keys=True) + "\n"
     if json_out:
-        Path(json_out).write_text(text)
+        _write(json_out, text)
     else:
         click.echo(text, nl=False)
     if mismatches:
@@ -279,7 +285,7 @@ def keygen_cmd(params_arg, side, sk, out):
         pk = keygen(ps, side, sk)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    Path(out).write_text(dumps_public_key(ps, side, pk))
+    _write(out, dumps_public_key(ps, side, pk))
     click.echo(f"wrote {out}")
 
 

@@ -6,11 +6,51 @@ One traversal serves both degrees (the strategies of De Feo, Jao and Plut,
 J. Math. Cryptol. 2014): a strategy becomes an index schedule, which rejects
 a malformed one with StrategyError, and one walker follows the schedule with
 the degree's point operations; strategy_eval3 and strategy_eval4 only pick
-those operations.
+those operations.  The walk runs on int 4-tuples (montgomery's int
+kernels and the xisog/xeval kernels here); XPoint and ProjCoeff objects are
+built only for the trace, the fault hook and the results.
 
 Chains never raise on corrupted data: a kernel that fails its order check
 marks the trace degenerate and the run stops, mirroring how a faulted victim
 computation just produces garbage downstream.
+
+Which kernels are checked.  Row 0's kernel is always checked.  Later rows
+are checked only when the starting coefficient is singular or undefined
+(alpha = 0, beta = 0 or alpha = beta), or from the row after a fault that
+moved the curve (alpha * beta' != alpha' * beta).  Everywhere else a check
+cannot fail:
+
+  * 3-isogenies.  Let row 0's kernel [3^(n-1)]R have exact order 3 on a
+    non-singular curve.  Then R has exact order 3^n, and the 3-isogeny with
+    kernel <[3^(n-1)]R> maps it to a point of exact order 3^(n-1) on a
+    non-singular codomain; by induction row r's kernel, [3^(n-1-r)] of R's
+    image, has exact order 3.  The x-only formulas compute these images
+    exactly: a tripling is wrong only on (0 : 0), which a point of exact
+    order 3^k is not, and the points the walk pushes are multiples of R of
+    order above 3, never in a kernel.  No formula involves B, so the same
+    holds for a point on the quadratic twist, which is where a random x
+    lands half of the time.
+  * 4-isogenies.  The formulas need a kernel K of exact order 4 with
+    x(K) != +-1, i.e. [2]K != (0, 0).  Exact order passes from row to row as
+    above.  For the second condition, let phi have kernel <K> with
+    [2]K != (0, 0).  Then (0, 0) is not in the kernel, and xeval4 maps
+    (0 : 1) to (0 : 16 X_K^2 (X_K^2 + Z_K^2)), where x(K) = 0 has order 2
+    and x(K) = +-i never has order 4: phi((0, 0)) = (0, 0) on the codomain,
+    a point of phi(E[4]), the kernel of the dual.  The next kernel is
+    K' = phi(K'') with [4]K'' = K, and phi^([2]K') = [8]K'' = [2]K != O, so
+    [2]K' is not in the dual's kernel and differs from (0, 0).
+  * A fault that is a no-op leaves the curve projectively where it was:
+    zeroing the imaginary parts of a GF(p) coefficient rescales (alpha :
+    beta), every later point is the honest one up to a nonzero factor, and
+    the honest run's checks pass.  This is the bit-1 path of the fault
+    oracle.
+
+A fault that moves the curve breaks the induction at the faulted row, so
+those runs check every row after it.  A singular start checks every row,
+so that the rule rests on the argument for non-singular curves alone.  The
+clause changes no outcome: alpha = beta fails row 0 for every point, and
+the non-singular points of the nodal curves A = +-2 form a group that the
+formulas map to A = +-2 again, so the argument holds there as well.
 """
 
 from __future__ import annotations
@@ -21,9 +61,13 @@ from typing import Optional, Sequence
 from .montgomery import (
     ProjCoeff,
     XPoint,
-    exact_order_multiple,
-    xdbl_e,
-    xtpl_e,
+    coeff_from_ints,
+    coeff_ints,
+    exact_order_multiple_int,
+    point_ints,
+    xdbl_e_int,
+    xpoint_from_ints,
+    xtpl_e_int,
     zero_imaginary_parts,
 )
 
@@ -72,62 +116,192 @@ class StrategyError(ValueError):
     """The strategy does not drive the chain through every leaf exactly once."""
 
 
-def xisog3(K: XPoint) -> IsogenyStep:
-    """3-isogeny from the order-3 kernel x(K); codomain in (alpha : beta) form.
+def xisog3_int(K: tuple, p: int) -> tuple:
+    """3-isogeny from the order-3 kernel x(K): (codomain coefficient in
+    (alpha : beta) form, evaluation constants (X - Z, X + Z)).
 
     alpha' = (X - Z)(3X + Z)^3, beta' = (X + Z)(3X - Z)^3.
     """
-    X, Z = K.X, K.Z
-    k1 = X - Z
-    k2 = X + Z
-    t = X + X + X
-    u = t + Z
-    v = t - Z
-    alpha = k1 * u.sqr() * u
-    beta = k2 * v.sqr() * v
-    return IsogenyStep(3, ProjCoeff(alpha, beta), (k1, k2))
+    Xr, Xi, Zr, Zi = K
+    k1r = (Xr - Zr) % p
+    k1i = (Xi - Zi) % p
+    k2r = (Xr + Zr) % p
+    k2i = (Xi + Zi) % p
+    coeff = []
+    for kr, ki, ur, ui in ((k1r, k1i, 3 * Xr + Zr, 3 * Xi + Zi), (k2r, k2i, 3 * Xr - Zr, 3 * Xi - Zi)):
+        sr = ((ur + ui) * (ur - ui)) % p  # u^2
+        si = (2 * ur * ui) % p
+        m0 = sr * ur
+        m1 = si * ui
+        m2 = (sr + si) * (ur + ui)
+        cr = (m0 - m1) % p  # u^3
+        ci = (m2 - m0 - m1) % p
+        m0 = kr * cr
+        m1 = ki * ci
+        m2 = (kr + ki) * (cr + ci)
+        coeff += ((m0 - m1) % p, (m2 - m0 - m1) % p)
+    return tuple(coeff), (k1r, k1i, k2r, k2i)
+
+
+def xeval3_int(Q: tuple, data: tuple, p: int) -> tuple:
+    """Push x(Q) through a 3-isogeny: x' = x (x*xK - 1)^2 / (x - xK)^2, as
+    t0 = k1 (X + Z), t1 = k2 (X - Z), X' = X (t0 + t1)^2, Z' = Z (t0 - t1)^2."""
+    Xr, Xi, Zr, Zi = Q
+    k1r, k1i, k2r, k2i = data
+    sr = Xr + Zr
+    si = Xi + Zi
+    m0 = k1r * sr
+    m1 = k1i * si
+    m2 = (k1r + k1i) * (sr + si)
+    t0r = m0 - m1
+    t0i = m2 - m0 - m1
+    dr = Xr - Zr
+    di = Xi - Zi
+    m0 = k2r * dr
+    m1 = k2i * di
+    m2 = (k2r + k2i) * (dr + di)
+    t1r = m0 - m1
+    t1i = m2 - m0 - m1
+    ar = (t0r + t1r) % p
+    ai = (t0i + t1i) % p
+    br = (t0r - t1r) % p
+    bi = (t0i - t1i) % p
+    a2r = ((ar + ai) * (ar - ai)) % p
+    a2i = (2 * ar * ai) % p
+    b2r = ((br + bi) * (br - bi)) % p
+    b2i = (2 * br * bi) % p
+    m0 = Xr * a2r
+    m1 = Xi * a2i
+    m2 = (Xr + Xi) * (a2r + a2i)
+    Xo_r = (m0 - m1) % p
+    Xo_i = (m2 - m0 - m1) % p
+    m0 = Zr * b2r
+    m1 = Zi * b2i
+    m2 = (Zr + Zi) * (b2r + b2i)
+    return Xo_r, Xo_i, (m0 - m1) % p, (m2 - m0 - m1) % p
+
+
+def xisog4_int(K: tuple, p: int) -> tuple:
+    """4-isogeny from the order-4 kernel x(K) with x(K) != +-1: codomain
+    (A' + 2C' : 4C') = (4X^4 : 4Z^4), returned as (alpha : alpha - 4Z^4),
+    and evaluation constants (4Z^2, X - Z, X + Z)."""
+    Xr, Xi, Zr, Zi = K
+    x2r = ((Xr + Xi) * (Xr - Xi)) % p
+    x2i = (2 * Xr * Xi) % p
+    z2r = ((Zr + Zi) * (Zr - Zi)) % p
+    z2i = (2 * Zr * Zi) % p
+    ar = (4 * (x2r + x2i) * (x2r - x2i)) % p  # (2 X^2)^2
+    ai = (8 * x2r * x2i) % p
+    cr = 4 * (z2r + z2i) * (z2r - z2i)  # (2 Z^2)^2
+    ci = 8 * z2r * z2i
+    coeff = (ar, ai, (ar - cr) % p, (ai - ci) % p)
+    return coeff, ((4 * z2r) % p, (4 * z2i) % p, (Xr - Zr) % p, (Xi - Zi) % p, (Xr + Zr) % p, (Xi + Zi) % p)
+
+
+def xeval4_int(Q: tuple, data: tuple, p: int) -> tuple:
+    """Push x(Q) through a 4-isogeny: with t0 = X + Z, t1 = X - Z,
+    xq = t0 (X_K - Z_K), zq = t1 (X_K + Z_K) and s = 4Z_K^2 t0 t1,
+    X' = (s + (xq + zq)^2)(xq + zq)^2, Z' = (xq - zq)^2 ((xq - zq)^2 - s)."""
+    Xr, Xi, Zr, Zi = Q
+    k1r, k1i, k2r, k2i, k3r, k3i = data
+    t0r = Xr + Zr
+    t0i = Xi + Zi
+    t1r = Xr - Zr
+    t1i = Xi - Zi
+    m0 = t0r * k2r
+    m1 = t0i * k2i
+    m2 = (t0r + t0i) * (k2r + k2i)
+    xr = (m0 - m1) % p
+    xi = (m2 - m0 - m1) % p
+    m0 = t1r * k3r
+    m1 = t1i * k3i
+    m2 = (t1r + t1i) * (k3r + k3i)
+    zr = (m0 - m1) % p
+    zi = (m2 - m0 - m1) % p
+    m0 = t0r * t1r
+    m1 = t0i * t1i
+    m2 = (t0r + t0i) * (t1r + t1i)
+    ur = (m0 - m1) % p
+    ui = (m2 - m0 - m1) % p
+    m0 = ur * k1r
+    m1 = ui * k1i
+    m2 = (ur + ui) * (k1r + k1i)
+    sr = (m0 - m1) % p
+    si = (m2 - m0 - m1) % p
+    ar = xr + zr
+    ai = xi + zi
+    a2r = ((ar + ai) * (ar - ai)) % p  # (xq + zq)^2
+    a2i = (2 * ar * ai) % p
+    br = xr - zr
+    bi = xi - zi
+    b2r = ((br + bi) * (br - bi)) % p  # (xq - zq)^2
+    b2i = (2 * br * bi) % p
+    ur = sr + a2r
+    ui = si + a2i
+    m0 = ur * a2r
+    m1 = ui * a2i
+    m2 = (ur + ui) * (a2r + a2i)
+    Xo_r = (m0 - m1) % p
+    Xo_i = (m2 - m0 - m1) % p
+    ur = b2r - sr
+    ui = b2i - si
+    m0 = b2r * ur
+    m1 = b2i * ui
+    m2 = (b2r + b2i) * (ur + ui)
+    return Xo_r, Xo_i, (m0 - m1) % p, (m2 - m0 - m1) % p
+
+
+def _step(degree: int, isog_int, K: XPoint) -> IsogenyStep:
+    p = K.X.p
+    coeff, data = isog_int(point_ints(K), p)
+    return IsogenyStep(degree, coeff_from_ints(coeff, p), data)
+
+
+def xisog3(K: XPoint) -> IsogenyStep:
+    """3-isogeny from the order-3 kernel x(K); codomain in (alpha : beta) form."""
+    return _step(3, xisog3_int, K)
 
 
 def xeval3(Q: XPoint, step: IsogenyStep) -> XPoint:
-    """Push x(Q) through a 3-isogeny: x' = x (x*xK - 1)^2 / (x - xK)^2."""
-    k1, k2 = step.eval_data
-    t0 = k1 * (Q.X + Q.Z)
-    t1 = k2 * (Q.X - Q.Z)
-    return XPoint(Q.X * (t0 + t1).sqr(), Q.Z * (t0 - t1).sqr())
+    p = Q.X.p
+    return xpoint_from_ints(xeval3_int(point_ints(Q), step.eval_data, p), p)
 
 
 def xisog4(K: XPoint) -> IsogenyStep:
     """4-isogeny from the order-4 kernel x(K) with x(K) != +-1."""
-    X, Z = K.X, K.Z
-    x2 = X.sqr()
-    z2 = Z.sqr()
-    alpha = (x2 + x2).sqr()  # 4 X^4 = A' + 2C'
-    c24 = (z2 + z2).sqr()  # 4 Z^4 = 4 C'
-    zz2 = z2 + z2
-    return IsogenyStep(4, ProjCoeff(alpha, alpha - c24), (zz2 + zz2, X - Z, X + Z))
+    return _step(4, xisog4_int, K)
 
 
 def xeval4(Q: XPoint, step: IsogenyStep) -> XPoint:
-    k1, k2, k3 = step.eval_data
-    t0 = Q.X + Q.Z
-    t1 = Q.X - Q.Z
-    xq = t0 * k2
-    zq = t1 * k3
-    t0 = t0 * t1 * k1
-    t1 = (xq + zq).sqr()
-    zq = (xq - zq).sqr()
-    return XPoint((t0 + t1) * t1, zq * (zq - t0))
+    p = Q.X.p
+    return xpoint_from_ints(xeval4_int(point_ints(Q), step.eval_data, p), p)
 
 
-def _has_order_3(R: XPoint, coeff: ProjCoeff) -> bool:
-    return exact_order_multiple(R, coeff, 3, 1) is not None
+def _has_order_3(R: tuple, C: tuple, p: int) -> bool:
+    return exact_order_multiple_int(R, C, 3, 1, p) is not None
 
 
-def _has_order_4(R: XPoint, coeff: ProjCoeff) -> bool:
+def _has_order_4(R: tuple, C: tuple, p: int) -> bool:
     """Exact order 4 with x != +-1 (the kernels the 4-isogeny formulas take)."""
-    if (R.X - R.Z).is_zero() or (R.X + R.Z).is_zero():
+    Xr, Xi, Zr, Zi = R
+    if (Xr == Zr and Xi == Zi) or ((Xr + Zr) % p == 0 and (Xi + Zi) % p == 0):
         return False  # kernel above (0, 0): outside the formulas' domain
-    return exact_order_multiple(R, coeff, 2, 2) is not None
+    return exact_order_multiple_int(R, C, 2, 2, p) is not None
+
+
+def _singular(C: tuple) -> bool:
+    """alpha = 0, beta = 0 (A = -2C or A = 2C) or alpha = beta (C = 0)."""
+    ar, ai, br, bi = C
+    return not (ar or ai) or not (br or bi) or (ar == br and ai == bi)
+
+
+def _same_curve(C: tuple, D: tuple, p: int) -> bool:
+    """(alpha : beta) = (alpha' : beta'), i.e. alpha * beta' = alpha' * beta."""
+    ar, ai, br, bi = C
+    cr, ci, dr, di = D
+    re = ar * dr - ai * di - (cr * br - ci * bi)
+    im = ar * di + ai * dr - (cr * bi + ci * br)
+    return re % p == 0 and im % p == 0
 
 
 def _schedule(strategy: Sequence[int], n: int) -> list[tuple[int, ...]]:
@@ -156,32 +330,45 @@ def _schedule(strategy: Sequence[int], n: int) -> list[tuple[int, ...]]:
 
 def _walk(R, coeff, strategy, push_points, hook, mul_e, per_leaf, has_order, isog, ev):
     """The chain with kernel <R> that the strategy schedules, from one
-    degree's point operations: mul_e(R, coeff, per_leaf * m) moves m leaves
-    toward the kernel, has_order(R, coeff) checks a kernel, isog(R) and
-    ev(Q, step) compute and evaluate one isogeny."""
+    degree's int kernels: mul_e(R, C, per_leaf * m, p) moves m leaves toward
+    the kernel, has_order(R, C, p) checks a kernel, isog(R, p) and
+    ev(Q, data, p) compute and evaluate one isogeny.  Points and the
+    coefficient stay int tuples; the trace and the results are objects.
+
+    Row 0's kernel is always checked; later rows only when the starting
+    coefficient is singular or undefined, or after a fault that moved the
+    curve (the module docstring gives the argument)."""
+    p = coeff.alpha.p
+    C = coeff_ints(coeff)
+    R = point_ints(R)
+    pushed = [point_ints(Q) for Q in push_points]
     trace = ChainTrace(coeffs=[coeff])
-    pushed = list(push_points)
-    stack: list[XPoint] = []
+    check_every_row = _singular(C)
+    stack: list[tuple] = []
     for row, moves in enumerate(_schedule(strategy, len(strategy) + 1)):
         for m in moves:
             stack.append(R)
-            R = mul_e(R, coeff, per_leaf * m)
-        trace.kernels.append(R)
-        if not has_order(R, coeff):
+            R = mul_e(R, C, per_leaf * m, p)
+        trace.kernels.append(xpoint_from_ints(R, p))
+        if (row == 0 or check_every_row) and not has_order(R, C, p):
             trace.degenerate_at = row
-            return coeff, pushed, trace
-        step = isog(R)
-        coeff = step.new_coeff
+            break
+        C, data = isog(R, p)
+        coeff = coeff_from_ints(C, p)
         if hook is not None:
-            coeff = hook.maybe_fire(row, coeff)
+            faulted = hook.maybe_fire(row, coeff)
+            if faulted is not coeff:  # it fired: coeff itself comes back otherwise
+                faulted_C = coeff_ints(faulted)
+                check_every_row = check_every_row or not _same_curve(C, faulted_C, p)
+                coeff, C = faulted, faulted_C
             if hook.fired and trace.fault_fired_at is None:
                 trace.fault_fired_at = row
         trace.coeffs.append(coeff)
         if stack:
-            stack = [ev(pt, step) for pt in stack]
+            stack = [ev(pt, data, p) for pt in stack]
             R = stack.pop()
-        pushed = [ev(pt, step) for pt in pushed]
-    return coeff, pushed, trace
+        pushed = [ev(pt, data, p) for pt in pushed]
+    return coeff, [xpoint_from_ints(Q, p) for Q in pushed], trace
 
 
 def strategy_eval3(
@@ -195,10 +382,11 @@ def strategy_eval3(
     n = len(strategy) + 1, optionally pushing auxiliary points through every
     step and applying the fault hook to freshly computed coefficients.
 
-    Every step's kernel is order-3 checked first; a failure (possible after a
-    fault) marks the trace degenerate and returns early instead of raising.
+    Kernels are order-3 checked where a check can fail (row 0, a singular
+    start, the rows after a fault that moved the curve); a failure marks the
+    trace degenerate and returns early instead of raising.
     """
-    return _walk(R, coeff, strategy, push_points, hook, xtpl_e, 1, _has_order_3, xisog3, xeval3)
+    return _walk(R, coeff, strategy, push_points, hook, xtpl_e_int, 1, _has_order_3, xisog3_int, xeval3_int)
 
 
 def strategy_eval4(
@@ -210,7 +398,7 @@ def strategy_eval4(
     """2^(2n)-isogeny with kernel <R> as n 4-isogenies, n = len(strategy) + 1:
     strategy_eval3 with doublings in place of triplings and no fault hook
     (the 2-power side is not a fault target here)."""
-    return _walk(R, coeff, strategy, push_points, None, xdbl_e, 2, _has_order_4, xisog4, xeval4)
+    return _walk(R, coeff, strategy, push_points, None, xdbl_e_int, 2, _has_order_4, xisog4_int, xeval4_int)
 
 
 def validate_strategy(strategy: Sequence[int], n: int) -> bool:

@@ -159,24 +159,41 @@ def j_invariant(A: Fp2, field: Fp2Field) -> Fp2:
 # x-only projective arithmetic.  All formulas are total: no divisions, no
 # checks on operand validity; garbage propagates (post-fault chains rely on
 # the order tests downstream, never on exceptions here).
+#
+# Each formula is one kernel on int 4-tuples of canonical residues: a point
+# (X : Z) is (X.re, X.im, Z.re, Z.im), a coefficient (alpha : beta) is
+# (alpha.re, alpha.im, beta.re, beta.im), and p comes last.  Products are
+# Karatsuba over GF(p).  The object-level names convert at the edges and run
+# the same kernels, so chains can stay on ints from end to end.
 # --------------------------------------------------------------------------
 
 
-def xdbl(P: XPoint, coeff: ProjCoeff) -> XPoint:
+def point_ints(P: XPoint) -> tuple:
+    return P.X.re, P.X.im, P.Z.re, P.Z.im
+
+
+def xpoint_from_ints(t: tuple, p: int) -> XPoint:
+    return XPoint(Fp2._raw(t[0], t[1], p), Fp2._raw(t[2], t[3], p))
+
+
+def coeff_ints(coeff: ProjCoeff) -> tuple:
+    return coeff.alpha.re, coeff.alpha.im, coeff.beta.re, coeff.beta.im
+
+
+def coeff_from_ints(t: tuple, p: int) -> ProjCoeff:
+    return ProjCoeff(Fp2._raw(t[0], t[1], p), Fp2._raw(t[2], t[3], p))
+
+
+def xdbl_int(P: tuple, C: tuple, p: int) -> tuple:
     """x([2]P) using (A + 2C : 4C) = (alpha, alpha - beta):
 
         t0 = (X - Z)^2,  t1 = (X + Z)^2,  t2 = t1 - t0 (= 4XZ)
         X2 = 4C * t0 * t1,  Z2 = t2 * (4C * t0 + (A + 2C) * t2)
-
-    Inlined at base-field level (Karatsuba, one reduction per product):
-    this and xadd carry the whole simulator's load.
     """
-    p = P.X.p
-    Xr, Xi = P.X.re, P.X.im
-    Zr, Zi = P.Z.re, P.Z.im
-    ar, ai = coeff.alpha.re, coeff.alpha.im
-    cr = ar - coeff.beta.re
-    ci = ai - coeff.beta.im
+    Xr, Xi, Zr, Zi = P
+    ar, ai, br, bi = C
+    cr = ar - br
+    ci = ai - bi
     dr = Xr - Zr
     di = Xi - Zi
     sr = Xr + Zr
@@ -195,7 +212,8 @@ def xdbl(P: XPoint, coeff: ProjCoeff) -> XPoint:
     m0 = c0r * t1r
     m1 = c0i * t1i
     m2 = (c0r + c0i) * (t1r + t1i)
-    X2 = Fp2._raw((m0 - m1) % p, (m2 - m0 - m1) % p, p)
+    X2r = (m0 - m1) % p
+    X2i = (m2 - m0 - m1) % p
     m0 = ar * t2r
     m1 = ai * t2i
     m2 = (ar + ai) * (t2r + t2i)
@@ -204,33 +222,33 @@ def xdbl(P: XPoint, coeff: ProjCoeff) -> XPoint:
     m0 = t2r * ur
     m1 = t2i * ui
     m2 = (t2r + t2i) * (ur + ui)
-    Z2 = Fp2._raw((m0 - m1) % p, (m2 - m0 - m1) % p, p)
-    return XPoint(X2, Z2)
+    return X2r, X2i, (m0 - m1) % p, (m2 - m0 - m1) % p
 
 
-def xadd(P: XPoint, Q: XPoint, diff: XPoint) -> XPoint:
-    """Differential addition: x(P + Q) from x(P), x(Q), diff = x(P - Q):
+def xadd_int(P: tuple, Q: tuple, D: tuple, p: int) -> tuple:
+    """Differential addition: x(P + Q) from x(P), x(Q), D = x(P - Q):
 
         u = (X_P - Z_P)(X_Q + Z_Q),  v = (X_P + Z_P)(X_Q - Z_Q)
-        X+ = Z_diff * (u + v)^2,     Z+ = X_diff * (u - v)^2
+        X+ = Z_D * (u + v)^2,        Z+ = X_D * (u - v)^2
 
-    x-only symmetry: the same call with diff = x(P + Q) returns x(P - Q).
-    Inlined at base-field level like xdbl.
+    x-only symmetry: the same call with D = x(P + Q) returns x(P - Q).
     """
-    p = P.X.p
-    d1r = P.X.re - P.Z.re
-    d1i = P.X.im - P.Z.im
-    s0r = Q.X.re + Q.Z.re
-    s0i = Q.X.im + Q.Z.im
+    PXr, PXi, PZr, PZi = P
+    QXr, QXi, QZr, QZi = Q
+    DXr, DXi, DZr, DZi = D
+    d1r = PXr - PZr
+    d1i = PXi - PZi
+    s0r = QXr + QZr
+    s0i = QXi + QZi
     m0 = d1r * s0r
     m1 = d1i * s0i
     m2 = (d1r + d1i) * (s0r + s0i)
     ur = m0 - m1
     ui = m2 - m0 - m1
-    s1r = P.X.re + P.Z.re
-    s1i = P.X.im + P.Z.im
-    d0r = Q.X.re - Q.Z.re
-    d0i = Q.X.im - Q.Z.im
+    s1r = PXr + PZr
+    s1i = PXi + PZi
+    d0r = QXr - QZr
+    d0i = QXi - QZi
     m0 = s1r * d0r
     m1 = s1i * d0i
     m2 = (s1r + s1i) * (d0r + d0i)
@@ -244,18 +262,18 @@ def xadd(P: XPoint, Q: XPoint, diff: XPoint) -> XPoint:
     a2i = (2 * ar * ai) % p
     b2r = ((br + bi) * (br - bi)) % p
     b2i = (2 * br * bi) % p
-    m0 = diff.Z.re * a2r
-    m1 = diff.Z.im * a2i
-    m2 = (diff.Z.re + diff.Z.im) * (a2r + a2i)
-    Xo = Fp2._raw((m0 - m1) % p, (m2 - m0 - m1) % p, p)
-    m0 = diff.X.re * b2r
-    m1 = diff.X.im * b2i
-    m2 = (diff.X.re + diff.X.im) * (b2r + b2i)
-    Zo = Fp2._raw((m0 - m1) % p, (m2 - m0 - m1) % p, p)
-    return XPoint(Xo, Zo)
+    m0 = DZr * a2r
+    m1 = DZi * a2i
+    m2 = (DZr + DZi) * (a2r + a2i)
+    Xr = (m0 - m1) % p
+    Xi = (m2 - m0 - m1) % p
+    m0 = DXr * b2r
+    m1 = DXi * b2i
+    m2 = (DXr + DXi) * (b2r + b2i)
+    return Xr, Xi, (m0 - m1) % p, (m2 - m0 - m1) % p
 
 
-def xtpl(P: XPoint, coeff: ProjCoeff) -> XPoint:
+def xtpl_int(P: tuple, C: tuple, p: int) -> tuple:
     """x([3]P) as xadd(xdbl(P), P, diff=P).
 
     Two self-difference corner cases are fixed points of [3] and returned
@@ -263,55 +281,95 @@ def xtpl(P: XPoint, coeff: ProjCoeff) -> XPoint:
     (0, 0): infinity, and the x = 0 order-2 point.  The degenerate input
     itself propagates unchanged.
     """
-    if P.Z.is_zero() or P.X.is_zero():
+    if not (P[2] or P[3]) or not (P[0] or P[1]):
         return P  # infinity and the x = 0 point are [3]-fixed; (0,0) propagates
-    return xadd(xdbl(P, coeff), P, P)
+    return xadd_int(xdbl_int(P, C, p), P, P, p)
+
+
+def xdbl_e_int(P: tuple, C: tuple, e: int, p: int) -> tuple:
+    for _ in range(e):
+        P = xdbl_int(P, C, p)
+    return P
+
+
+def xtpl_e_int(P: tuple, C: tuple, e: int, p: int) -> tuple:
+    for _ in range(e):
+        P = xtpl_int(P, C, p)
+    return P
+
+
+def exact_order_multiple_int(P: tuple, C: tuple, ell: int, e: int, p: int) -> Optional[tuple]:
+    """[ell^(e-1)]P when x(P) has exact order ell^e (ell = 2 or 3), else None."""
+    if not (P[2] or P[3]):
+        return None  # infinity or the degenerate (0, 0)
+    mul_e, mul = (xdbl_e_int, xdbl_int) if ell == 2 else (xtpl_e_int, xtpl_int)
+    below = mul_e(P, C, e - 1, p)
+    if not (below[2] or below[3]):
+        return None
+    Xr, Xi, Zr, Zi = mul(below, C, p)
+    if Zr or Zi or not (Xr or Xi):
+        return None  # [ell]below is not infinity
+    return below
+
+
+def _result(out: tuple, P: XPoint, t: tuple) -> XPoint:
+    """A kernel's output as an XPoint: P itself when the kernel handed back
+    its input t (no step taken, or a fixed point of xtpl)."""
+    return P if out is t else xpoint_from_ints(out, P.X.p)
+
+
+def xdbl(P: XPoint, coeff: ProjCoeff) -> XPoint:
+    p = P.X.p
+    return xpoint_from_ints(xdbl_int(point_ints(P), coeff_ints(coeff), p), p)
+
+
+def xadd(P: XPoint, Q: XPoint, diff: XPoint) -> XPoint:
+    p = P.X.p
+    return xpoint_from_ints(xadd_int(point_ints(P), point_ints(Q), point_ints(diff), p), p)
+
+
+def xtpl(P: XPoint, coeff: ProjCoeff) -> XPoint:
+    t = point_ints(P)
+    return _result(xtpl_int(t, coeff_ints(coeff), P.X.p), P, t)
 
 
 def xdbl_e(P: XPoint, coeff: ProjCoeff, e: int) -> XPoint:
-    for _ in range(e):
-        P = xdbl(P, coeff)
-    return P
+    t = point_ints(P)
+    return _result(xdbl_e_int(t, coeff_ints(coeff), e, P.X.p), P, t)
 
 
 def xtpl_e(P: XPoint, coeff: ProjCoeff, e: int) -> XPoint:
-    for _ in range(e):
-        P = xtpl(P, coeff)
-    return P
+    t = point_ints(P)
+    return _result(xtpl_e_int(t, coeff_ints(coeff), e, P.X.p), P, t)
 
 
 def exact_order_multiple(P: XPoint, coeff: ProjCoeff, ell: int, e: int) -> Optional[XPoint]:
     """[ell^(e-1)]P when x(P) has exact order ell^e (ell = 2 or 3), else None."""
-    if P.Z.is_zero():
-        return None  # infinity or the degenerate (0, 0)
-    mul_e, mul = (xdbl_e, xdbl) if ell == 2 else (xtpl_e, xtpl)
-    below = mul_e(P, coeff, e - 1)
-    if below.Z.is_zero() or not mul(below, coeff).is_infinity():
-        return None
-    return below
+    t = point_ints(P)
+    below = exact_order_multiple_int(t, coeff_ints(coeff), ell, e, P.X.p)
+    return None if below is None else _result(below, P, t)
 
 
 def ladder3pt(k: int, xP: XPoint, xQ: XPoint, xPQ: XPoint, coeff: ProjCoeff) -> XPoint:
     """x(P + [k]Q) from x(P), x(Q), x(P - Q); LSB-first three-point ladder."""
     if k < 0:
         raise ValueError("scalar must be nonnegative")
-    R0, R1, R2 = xQ, xP, xPQ  # R2 = R1 - R0 throughout
+    p = xP.X.p
+    C = coeff_ints(coeff)
+    t = point_ints(xP)
+    R0, R1, R2 = point_ints(xQ), t, point_ints(xPQ)  # R2 = R1 - R0 throughout
     while k:
         if k & 1:
-            R1 = xadd(R1, R0, R2)
+            R1 = xadd_int(R1, R0, R2, p)
         else:
-            R2 = xadd(R2, R0, R1)  # diff slot holds x(R2 + R0) = x(R1)
-        R0 = xdbl(R0, coeff)
+            R2 = xadd_int(R2, R0, R1, p)  # diff slot holds x(R2 + R0) = x(R1)
+        R0 = xdbl_int(R0, C, p)
         k >>= 1
-    return R1
+    return _result(R1, xP, t)
 
 
 def xpoint_from_affine(x: Fp2, field: Fp2Field) -> XPoint:
     return XPoint(x, field.one)
-
-
-def xpoint_infinity(field: Fp2Field) -> XPoint:
-    return XPoint(field.one, field.zero)
 
 
 def x_affine(P: XPoint) -> Fp2:

@@ -382,7 +382,8 @@ PARAM_KEYS = ("xPA", "xQA", "xDA", "xPB", "xQB", "xDB")
 PK_KEYS = ("xP", "xQ", "xPQ")
 
 
-def save_params(params: SidhParams, path) -> None:
+def dumps_params(params: SidhParams) -> str:
+    """The parameter file that loads_params reads back."""
     F = params.field
     lines = [
         "# sidhlab parameter set",
@@ -394,8 +395,7 @@ def save_params(params: SidhParams, path) -> None:
     ]
     for key in PARAM_KEYS:
         lines.append(f"{key}={F.encode(getattr(params, key))}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def loads_params(text: str) -> SidhParams:

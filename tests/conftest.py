@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sidhlab.field import FieldParams, Fp2Field
-from sidhlab.protocol import bundled_params
+from sidhlab.protocol import bundled_params, param_gen
 
 
 @pytest.fixture(scope="session")
@@ -14,6 +14,13 @@ def toy():
 @pytest.fixture(scope="session")
 def p434():
     return bundled_params("p434")
+
+
+@pytest.fixture(scope="session")
+def mid():
+    """A generated set with e3 = 13, so a forger's walk takes up to 11 steps
+    (toy431 has e3 = 3 and reaches i = 1 only)."""
+    return param_gen(4, 13, random.Random(413))
 
 
 @pytest.fixture(scope="session")

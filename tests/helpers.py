@@ -1,27 +1,41 @@
 """Test-only helpers: views of the parameters, curves and responders that the
-program itself never needs, and the forger's earlier recipes, kept as
-references for sidhlab.attack: the forged pair from a fresh ladder and
-strategy walk from E_0 per call, and the candidate kernels from three binary
-ladders over the pushed-back forged triple.
+program itself never needs, and earlier recipes kept as references: for
+sidhlab.attack, the forged pair from a fresh ladder and strategy walk from
+E_0 per call, and the candidate kernels from three binary ladders over the
+pushed-back forged triple; for the int kernels and the chain walker, the
+x-only formulas on Fp2 objects and a walker that checks every kernel.
 """
 
+import functools
 import random
+
+from hypothesis import HealthCheck, settings, strategies as st
 
 from sidhlab.attack import OracleContradictionError
 from sidhlab.countermeasure import derive_bob_naive_reject
 from sidhlab.isogeny import ChainTrace, balanced_strategy, strategy_eval3, xeval3
+from sidhlab.isogeny import _schedule as schedule
 from sidhlab.montgomery import (
     FullPoint,
     MontgomeryCurve,
+    ProjCoeff,
+    XPoint,
     affine_a_from_projective,
     coeff_from_a,
     ladder3pt,
     x_affine,
     xpoint_from_affine,
-    xpoint_infinity,
     xtpl_e,
 )
-from sidhlab.protocol import ALICE, BOB, PublicKey, chain_inputs, sample_torsion_x
+from sidhlab.protocol import (
+    ALICE,
+    BOB,
+    PublicKey,
+    bundled_params,
+    chain_inputs,
+    keygen,
+    sample_torsion_x,
+)
 
 
 def public_basis(params, side):
@@ -31,11 +45,55 @@ def public_basis(params, side):
     return PublicKey(params.xPB, params.xQB, params.xDB)
 
 
+def xpoint_infinity(field):
+    """The x-only point at infinity, (1 : 0)."""
+    return XPoint(field.one, field.zero)
+
+
 def xpoint(curve: MontgomeryCurve, P: FullPoint):
     """The x-only view of a full point."""
     if P.infinity:
         return xpoint_infinity(curve.field)
     return xpoint_from_affine(P.x, curve.field)
+
+
+@functools.cache
+def setting(name):
+    """(params, the victim's sk, an honest Alice key) for a bundled set."""
+    ps = bundled_params(name)
+    sk = ps.sample_sk(BOB, random.Random(3))
+    return ps, sk, keygen(ps, ALICE, ps.sample_sk(ALICE, random.Random(4)))
+
+
+def fuzz(max_examples):
+    return settings(
+        derandomize=True,
+        deadline=None,
+        max_examples=max_examples,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+
+
+def public_keys(name):
+    """Random triples, and the honest key with one coordinate replaced,
+    moved by one, or projected to GF(p)."""
+    ps, _, honest = setting(name)
+    F, p = ps.field, ps.field_params.p
+    element = st.builds(F, st.integers(0, p - 1), st.integers(0, p - 1))
+
+    def edit(slot, how, x):
+        old = getattr(honest, slot)
+        new = {"replace": x, "nudge": old + F.one, "project": F(old.re)}[how]
+        coords = {s: getattr(honest, s) for s in ("xP", "xQ", "xPQ")}
+        return PublicKey(**{**coords, slot: new})
+
+    edited = st.builds(
+        edit,
+        st.sampled_from(("xP", "xQ", "xPQ")),
+        st.sampled_from(("replace", "nudge", "project")),
+        element,
+    )
+    return st.one_of(st.builds(PublicKey, element, element, element), edited)
 
 
 def make_reject_oracle(params, sk: int):
@@ -118,3 +176,138 @@ def reference_candidates(walk, pk: PublicKey) -> tuple:
         xtpl_e(ladder3pt(walk.sk + t * 3**i, *pts, coeff), coeff, params.e3 - 1 - i)
         for t in range(3)
     )
+
+
+# --------------------------------------------------------------------------
+# The chain arithmetic on Fp2 objects, as it stood before the int kernels:
+# each formula written out from its docstring, and the walker that checks
+# every kernel.  The int kernels must return exactly these canonical ints,
+# and strategy_eval3/strategy_eval4 exactly this walker's results.
+# --------------------------------------------------------------------------
+
+
+def ref_xdbl(P, coeff):
+    t0 = (P.X - P.Z).sqr()
+    t1 = (P.X + P.Z).sqr()
+    t2 = t1 - t0
+    c0 = (coeff.alpha - coeff.beta) * t0  # 4C t0
+    return XPoint(c0 * t1, t2 * (c0 + coeff.alpha * t2))
+
+
+def ref_xadd(P, Q, diff):
+    u = (P.X - P.Z) * (Q.X + Q.Z)
+    v = (P.X + P.Z) * (Q.X - Q.Z)
+    return XPoint(diff.Z * (u + v).sqr(), diff.X * (u - v).sqr())
+
+
+def ref_xtpl(P, coeff):
+    if P.Z.is_zero() or P.X.is_zero():
+        return P
+    return ref_xadd(ref_xdbl(P, coeff), P, P)
+
+
+def ref_xdbl_e(P, coeff, e):
+    for _ in range(e):
+        P = ref_xdbl(P, coeff)
+    return P
+
+
+def ref_xtpl_e(P, coeff, e):
+    for _ in range(e):
+        P = ref_xtpl(P, coeff)
+    return P
+
+
+def ref_exact_order_multiple(P, coeff, ell, e):
+    if P.Z.is_zero():
+        return None
+    mul_e, mul = (ref_xdbl_e, ref_xdbl) if ell == 2 else (ref_xtpl_e, ref_xtpl)
+    below = mul_e(P, coeff, e - 1)
+    if below.Z.is_zero() or not mul(below, coeff).is_infinity():
+        return None
+    return below
+
+
+def ref_ladder3pt(k, xP, xQ, xPQ, coeff):
+    R0, R1, R2 = xQ, xP, xPQ
+    while k:
+        if k & 1:
+            R1 = ref_xadd(R1, R0, R2)
+        else:
+            R2 = ref_xadd(R2, R0, R1)
+        R0 = ref_xdbl(R0, coeff)
+        k >>= 1
+    return R1
+
+
+def ref_xisog3(K):
+    """(codomain coefficient, (X - Z, X + Z))."""
+    k1, k2 = K.X - K.Z, K.X + K.Z
+    t = K.X + K.X + K.X
+    u, v = t + K.Z, t - K.Z
+    return ProjCoeff(k1 * u.sqr() * u, k2 * v.sqr() * v), (k1, k2)
+
+
+def ref_xeval3(Q, data):
+    k1, k2 = data
+    t0 = k1 * (Q.X + Q.Z)
+    t1 = k2 * (Q.X - Q.Z)
+    return XPoint(Q.X * (t0 + t1).sqr(), Q.Z * (t0 - t1).sqr())
+
+
+def ref_xisog4(K):
+    """(codomain coefficient, (4Z^2, X - Z, X + Z))."""
+    x2, z2 = K.X.sqr(), K.Z.sqr()
+    alpha = (x2 + x2).sqr()
+    zz2 = z2 + z2
+    return ProjCoeff(alpha, alpha - zz2.sqr()), (zz2 + zz2, K.X - K.Z, K.X + K.Z)
+
+
+def ref_xeval4(Q, data):
+    k1, k2, k3 = data
+    t0, t1 = Q.X + Q.Z, Q.X - Q.Z
+    xq, zq = t0 * k2, t1 * k3
+    s = t0 * t1 * k1
+    a, b = (xq + zq).sqr(), (xq - zq).sqr()
+    return XPoint((s + a) * a, b * (b - s))
+
+
+def _ref_has_order_3(R, coeff):
+    return ref_exact_order_multiple(R, coeff, 3, 1) is not None
+
+
+def _ref_has_order_4(R, coeff):
+    if (R.X - R.Z).is_zero() or (R.X + R.Z).is_zero():
+        return False
+    return ref_exact_order_multiple(R, coeff, 2, 2) is not None
+
+
+def reference_walk(degree, R, coeff, strategy, push_points=(), hook=None):
+    """strategy_eval3 (degree 3) or strategy_eval4 (degree 4) with every
+    kernel order-checked."""
+    mul_e, per_leaf, has_order, isog, ev = {
+        3: (ref_xtpl_e, 1, _ref_has_order_3, ref_xisog3, ref_xeval3),
+        4: (ref_xdbl_e, 2, _ref_has_order_4, ref_xisog4, ref_xeval4),
+    }[degree]
+    trace = ChainTrace(coeffs=[coeff])
+    pushed = list(push_points)
+    stack = []
+    for row, moves in enumerate(schedule(strategy, len(strategy) + 1)):
+        for m in moves:
+            stack.append(R)
+            R = mul_e(R, coeff, per_leaf * m)
+        trace.kernels.append(R)
+        if not has_order(R, coeff):
+            trace.degenerate_at = row
+            return coeff, pushed, trace
+        coeff, data = isog(R)
+        if hook is not None:
+            coeff = hook.maybe_fire(row, coeff)
+            if hook.fired and trace.fault_fired_at is None:
+                trace.fault_fired_at = row
+        trace.coeffs.append(coeff)
+        if stack:
+            stack = [ev(pt, data) for pt in stack]
+            R = stack.pop()
+        pushed = [ev(pt, data) for pt in pushed]
+    return coeff, pushed, trace

@@ -23,7 +23,7 @@ from sidhlab.montgomery import (
     xpoint_in_fp,
     xtpl,
 )
-from sidhlab.protocol import BOB, derive_with_trace, keygen, param_gen
+from sidhlab.protocol import BOB, derive_with_trace, keygen
 
 from helpers import prefix_chain, public_basis, reference_candidates, reference_forge
 
@@ -126,13 +126,6 @@ class TestCandidates:
         forged = forge_public_keys(walk, rng)
         cands = candidate_kernels(walk, forged)
         assert forged.candidates == cands
-
-
-@pytest.fixture(scope="module")
-def mid():
-    """A generated set with e3 = 13, so the walk takes up to 11 steps
-    (toy431 has e3 = 3 and reaches i = 1 only)."""
-    return param_gen(4, 13, random.Random(413))
 
 
 class TestCarriedWalk:

@@ -246,10 +246,10 @@ class TestUntrustedInput:
         _usage_error(res, "'xQ'")
 
     def test_params_file_missing_a_key(self, runner, tmp_path):
-        from sidhlab.protocol import bundled_params, save_params
+        from sidhlab.protocol import bundled_params, dumps_params
 
         path = tmp_path / "params.txt"
-        save_params(bundled_params("toy431"), path)
+        path.write_text(dumps_params(bundled_params("toy431")))
         path.write_text("".join(l for l in path.read_text().splitlines(True) if not l.startswith("e3=")))
         res = runner.invoke(
             main,
@@ -272,10 +272,10 @@ class TestUntrustedInput:
     def test_oversized_exponents_fail_fast(self, runner, tmp_path):
         """p = 2^60000 * 3 - 1 is refused by its size, before any primality
         test, both from params gen and from a parameter file."""
-        from sidhlab.protocol import bundled_params, save_params
+        from sidhlab.protocol import bundled_params, dumps_params
 
         path = tmp_path / "params.txt"
-        save_params(bundled_params("toy431"), path)
+        path.write_text(dumps_params(bundled_params("toy431")))
         path.write_text(path.read_text().replace("e2=4\n", "e2=60000\n").replace("e3=3\n", "e3=1\n"))
         for args in (
             ["params", "gen", "--e2", "60000", "--e3", "1", "--out", str(tmp_path / "gen.txt")],
@@ -285,6 +285,23 @@ class TestUntrustedInput:
             res = runner.invoke(main, args)
             assert time.perf_counter() - t0 < 1.0, args
             _usage_error(res, "1024 bits")
+
+    def test_keygen_out_in_a_missing_directory(self, runner, tmp_path):
+        out = tmp_path / "missing" / "pk.txt"
+        res = runner.invoke(
+            main, ["keygen", "--params", "toy431", "--side", "bob", "--sk", "5", "--out", str(out)]
+        )
+        _usage_error(res, "cannot write")
+
+    def test_params_gen_out_in_a_missing_directory(self, runner, tmp_path):
+        out = tmp_path / "missing" / "p.txt"
+        res = runner.invoke(main, ["params", "gen", "--e2", "4", "--e3", "3", "--out", str(out)])
+        _usage_error(res, "cannot write")
+
+    def test_attack_json_in_a_missing_directory(self, runner, tmp_path):
+        out = tmp_path / "missing" / "r.jsonl"
+        res = runner.invoke(main, ["attack", "--params", "toy431", "--trials", "0", "--json", str(out)])
+        _usage_error(res, "cannot write")
 
 
 class TestCountermeasureBench:

@@ -5,11 +5,10 @@ oracles answer every public key, malformed or not, with a bit.  A plain
 ValueError stays the caller's error and is not folded into the family.
 """
 
-import functools
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from sidhlab import SidhlabInputError
 from sidhlab.countermeasure import PushforwardConfig
@@ -18,32 +17,14 @@ from sidhlab.field import FieldParams
 from sidhlab.protocol import (
     ALICE,
     BOB,
-    PublicKey,
-    bundled_params,
+    dumps_params,
     dumps_public_key,
     keygen,
     loads_params,
     loads_public_key,
-    save_params,
 )
 
-
-@functools.cache
-def setting(name):
-    """(params, the victim's sk, an honest Alice key) for a bundled set."""
-    ps = bundled_params(name)
-    sk = ps.sample_sk(BOB, random.Random(3))
-    return ps, sk, keygen(ps, ALICE, ps.sample_sk(ALICE, random.Random(4)))
-
-
-def fuzz(max_examples):
-    return settings(
-        derandomize=True,
-        deadline=None,
-        max_examples=max_examples,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-
+from helpers import fuzz, public_keys, setting
 
 VALUES = st.one_of(
     st.integers(-2, 70000).map(str),
@@ -82,7 +63,7 @@ class TestLoaders:
     @pytest.mark.parametrize("name, examples", [("toy431", 300), ("p434", 60)])
     def test_mutated_params_text(self, name, examples, tmp_path):
         path = tmp_path / "params.txt"
-        save_params(setting(name)[0], path)
+        path.write_text(dumps_params(setting(name)[0]))
 
         @fuzz(examples)
         @given(mutated(path.read_text()))
@@ -121,7 +102,7 @@ class TestLoaders:
 
     def test_params_file_missing_an_entry(self, toy, tmp_path):
         path = tmp_path / "params.txt"
-        save_params(toy, path)
+        path.write_text(dumps_params(toy))
         text = "".join(l for l in path.read_text().splitlines(True) if not l.startswith("e3="))
         with pytest.raises(SidhlabInputError, match="'e3'"):
             loads_params(text)
@@ -130,28 +111,6 @@ class TestLoaders:
         with pytest.raises(SidhlabInputError, match="1024 bits"):
             FieldParams.from_exponents(60000, 1)
         assert FieldParams.from_exponents(372, 239).p.bit_length() == 751  # SIKE p751
-
-
-def public_keys(name):
-    """Random triples, and the honest key with one coordinate replaced,
-    moved by one, or projected to GF(p)."""
-    ps, _, honest = setting(name)
-    F, p = ps.field, ps.field_params.p
-    element = st.builds(F, st.integers(0, p - 1), st.integers(0, p - 1))
-
-    def edit(slot, how, x):
-        old = getattr(honest, slot)
-        new = {"replace": x, "nudge": old + F.one, "project": F(old.re)}[how]
-        coords = {s: getattr(honest, s) for s in ("xP", "xQ", "xPQ")}
-        return PublicKey(**{**coords, slot: new})
-
-    edited = st.builds(
-        edit,
-        st.sampled_from(("xP", "xQ", "xPQ")),
-        st.sampled_from(("replace", "nudge", "project")),
-        element,
-    )
-    return st.one_of(st.builds(PublicKey, element, element, element), edited)
 
 
 class TestOraclesAnswerEveryKey:

@@ -22,12 +22,11 @@ from sidhlab.montgomery import (
     xpoint_eq,
     xpoint_from_affine,
     xpoint_in_fp,
-    xpoint_infinity,
     xtpl,
     xtpl_e,
 )
 
-from helpers import on_curve, xpoint
+from helpers import on_curve, xpoint, xpoint_infinity
 
 
 @pytest.fixture(scope="module")

@@ -25,12 +25,12 @@ from sidhlab.protocol import (
     bundled_params,
     derive,
     derive_with_trace,
+    dumps_params,
     get_a,
     keygen,
     loads_params,
     param_gen,
     sample_torsion_x,
-    save_params,
 )
 
 from helpers import public_basis
@@ -69,13 +69,13 @@ class TestParams:
 
     def test_file_roundtrip(self, toy, tmp_path):
         path = tmp_path / "toy.txt"
-        save_params(toy, path)
+        path.write_text(dumps_params(toy))
         again = loads_params(path.read_text())
         assert again.xPA == toy.xPA and again.xDB == toy.xDB
 
     def test_file_rejects_wrong_p(self, toy, tmp_path):
         path = tmp_path / "toy.txt"
-        save_params(toy, path)
+        path.write_text(dumps_params(toy))
         text = path.read_text().replace("p=1af", "p=1b1")
         with pytest.raises(ValueError):
             loads_params(text)
