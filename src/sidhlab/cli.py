@@ -222,6 +222,8 @@ def countermeasure():
 def countermeasure_bench(params_arg, k, trials, seed, json_out):
     """Measure randomized-pushforward overhead and attack degradation."""
     ps = _load(params_arg)
+    if not 0 <= k <= ps.e2:
+        raise click.UsageError(f"--k {k} outside [0, e2 = {ps.e2}]")
     rng = random.Random(seed)
     cfg = cm.PushforwardConfig(k)
 

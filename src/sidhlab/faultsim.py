@@ -18,9 +18,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .countermeasure import PushforwardConfig, two_power_walk
+from .countermeasure import PushforwardConfig
 from .field import Fp2Field, SidhlabInputError
-from .isogeny import ChainTrace, FaultHook, strategy_eval3
+from .isogeny import ChainTrace, strategy_eval2, strategy_eval3
 from .montgomery import (
     DegenerateCoefficientError,
     MontgomeryCurve,
@@ -68,9 +68,9 @@ def oracle(
     out-of-range i (and, from derive, an out-of-range sk) is rejected.
     Deterministic: the spot-check randomness is derived from (pk, i).
     """
-    hook = _fault_hook(params, i)
+    _check_fault_index(params, i)
     try:
-        final, trace = derive_with_trace(params, BOB, sk_bob, pk, hook)
+        final, trace = derive_with_trace(params, BOB, sk_bob, pk, i)
     except SidhlabInputError:
         return OracleVerdict(bit=0, failure_step=-1)
     bit, failure_step = _verdict(params, final, trace, random.Random(_spot_seed(params, pk, i)))
@@ -86,28 +86,27 @@ def oracle_randomized(
     rng: random.Random,
 ) -> int:
     """The fault oracle's bit against a responder running the randomized
-    pushforward: the hook fires inside the masked 3-chain, and the masking
-    kernel and the spot-check points are drawn from rng.  Used to measure
-    how the masking degrades the forger's success rate."""
-    hook = _fault_hook(params, i)
+    pushforward: the fault hits the masked 3-chain, and the masking kernel
+    and the spot-check points are drawn from rng.  Used to measure how the
+    masking degrades the forger's success rate."""
+    _check_fault_index(params, i)
     k, F = config.k, params.field
     try:
         coeff, *triple = chain_inputs(pk, F)
         E_A = MontgomeryCurve(affine_a_from_projective(coeff), F)
         if k > 0:
-            R = sample_torsion_x(params, E_A, 2, k, rng)
-            coeff, triple = two_power_walk(R, coeff, k, triple, F)
+            coeff, triple, mask = strategy_eval2(sample_torsion_x(params, E_A, 2, k, rng), coeff, k, triple, F)
+            mask.require_completed("masking walk")
     except SidhlabInputError:
         return 0
     kernel = ladder3pt(sk, *triple, coeff)
-    final, _, trace = strategy_eval3(kernel, coeff, params.strategy3, (), hook)
+    final, _, trace = strategy_eval3(kernel, coeff, params.strategy3, (), i)
     return _verdict(params, final, trace, rng)[0]
 
 
-def _fault_hook(params: SidhParams, i: int) -> FaultHook:
+def _check_fault_index(params: SidhParams, i: int) -> None:
     if not 0 <= i <= params.e3 - 2:
         raise ValueError(f"fault index {i} outside [0, e3 - 2]")
-    return FaultHook(target_index=i)
 
 
 def _verdict(params: SidhParams, final: ProjCoeff, trace: ChainTrace, rng: random.Random) -> tuple:

@@ -1,18 +1,19 @@
-"""Degree-3 and degree-4 x-only isogenies and the strategy-driven chain
-evaluator, including the fault hook that zeroes the imaginary parts of a
-freshly computed projective curve coefficient.
+"""Degree-2, -3 and -4 x-only isogenies and the strategy-driven chain
+evaluator, including the fault that zeroes the imaginary parts of a freshly
+computed projective curve coefficient at one chosen row.
 
-One traversal serves both degrees (the strategies of De Feo, Jao and Plut,
+One traversal serves every degree (the strategies of De Feo, Jao and Plut,
 J. Math. Cryptol. 2014): a strategy becomes an index schedule, which rejects
 a malformed one with StrategyError, and one walker follows the schedule with
-the degree's point operations; strategy_eval3 and strategy_eval4 only pick
-those operations.  The walk runs on int 4-tuples (montgomery's int
-kernels and the xisog/xeval kernels here); XPoint and ProjCoeff objects are
-built only for the trace, the fault hook and the results.
+the degree's point operations; strategy_eval2, strategy_eval3 and
+strategy_eval4 only pick those operations.  The walk runs on int 4-tuples
+(montgomery's int kernels and the xisog/xeval kernels here); XPoint and
+ProjCoeff objects are built only for the trace, the fault and the results.
 
 Chains never raise on corrupted data: a kernel that fails its order check
 marks the trace degenerate and the run stops, mirroring how a faulted victim
-computation just produces garbage downstream.
+computation just produces garbage downstream.  The one exception is a (0, 0)
+2-isogeny kernel on a curve with non-square A + 2 (DegenerateChainError).
 
 Which kernels are checked.  Row 0's kernel is always checked.  Later rows
 are checked only when the starting coefficient is singular or undefined
@@ -39,6 +40,10 @@ cannot fail:
     a point of phi(E[4]), the kernel of the dual.  The next kernel is
     K' = phi(K'') with [4]K'' = K, and phi^([2]K') = [8]K'' = [2]K != O, so
     [2]K' is not in the dual's kernel and differs from (0, 0).
+  * 2-isogenies (kernel check: not infinity).  The masking walk's R has
+    exact order 2^k (sampled, or such a point's image under odd-degree
+    isogenies), which passes from row to row as above, and the formulas are
+    exact on (0, 0) and at infinity: xeval2 maps only (0 : 0) to (0 : 0).
   * A fault that is a no-op leaves the curve projectively where it was:
     zeroing the imaginary parts of a GF(p) coefficient rescales (alpha :
     beta), every later point is the honest one up to a nonzero factor, and
@@ -58,9 +63,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
+from .field import Fp2Field, SidhlabInputError
 from .montgomery import (
     ProjCoeff,
     XPoint,
+    affine_a_from_projective,
     coeff_from_ints,
     coeff_ints,
     exact_order_multiple_int,
@@ -76,25 +83,8 @@ from .montgomery import (
 class IsogenyStep:
     """One computed isogeny: codomain coefficient plus evaluation constants."""
 
-    degree: int
     new_coeff: ProjCoeff
     eval_data: tuple
-
-
-@dataclass
-class FaultHook:
-    """Zeroes the imaginary parts of the output coefficient of the isogeny
-    with 0-based chain index ``target_index``; fires at most once."""
-
-    target_index: int
-    armed: bool = True
-    fired: bool = False
-
-    def maybe_fire(self, isogeny_index: int, coeff: ProjCoeff) -> ProjCoeff:
-        if self.armed and not self.fired and isogeny_index == self.target_index:
-            self.fired = True
-            return zero_imaginary_parts(coeff)
-        return coeff
 
 
 @dataclass
@@ -111,9 +101,65 @@ class ChainTrace:
     def completed(self) -> bool:
         return self.degenerate_at is None
 
+    def require_completed(self, chain: str) -> None:
+        if self.degenerate_at is not None:
+            raise DegenerateChainError(f"{chain} degenerate at step {self.degenerate_at}")
+
 
 class StrategyError(ValueError):
     """The strategy does not drive the chain through every leaf exactly once."""
+
+
+class DegenerateChainError(SidhlabInputError):
+    """An isogeny chain hit a kernel that failed its order check."""
+
+
+def xisog2_int(K: tuple, C: tuple, field: Fp2Field) -> tuple:
+    """2-isogeny from the order-2 kernel x(K) on the curve C: codomain
+    (Z^2 - X^2 : -X^2), constants (X, Z) off (0, 0); on (0, 0), with s the
+    field's canonical sqrt(A + 2), ((s + 2)^2 : (s - 2)^2), constant 2s.  A
+    non-square A + 2 (a malformed curve) raises DegenerateChainError."""
+    p = field.p
+    Xr, Xi, Zr, Zi = K
+    if Xr or Xi:
+        x2r = ((Xr + Xi) * (Xr - Xi)) % p
+        x2i = (2 * Xr * Xi) % p
+        z2r = ((Zr + Zi) * (Zr - Zi)) % p
+        z2i = (2 * Zr * Zi) % p
+        return ((z2r - x2r) % p, (z2i - x2i) % p, -x2r % p, -x2i % p), K
+    two = field(2)
+    a2 = affine_a_from_projective(coeff_from_ints(C, p)) + two
+    if not field.is_square(a2):
+        raise DegenerateChainError("A + 2 is not a square at a (0, 0) kernel")
+    s = field.sqrt(a2)
+    return coeff_ints(ProjCoeff((s + two).sqr(), (s - two).sqr())), ((2 * s.re) % p, (2 * s.im) % p)
+
+
+def xeval2_int(Q: tuple, data: tuple, p: int) -> tuple:
+    """Push x(Q) through a 2-isogeny: (X (X X_K - Z Z_K) : Z (X Z_K - Z X_K))
+    off (0, 0), and ((X - Z)^2 : 2s X Z) on the (0, 0) kernel, whose
+    constants are (2s).  Both are two products P (X a - Z b): the second
+    with P = X - Z, a = b = 1, and with P = X, a = 0, b = -2s."""
+    Xr, Xi, Zr, Zi = Q
+    if len(data) == 2:
+        rows = (((Xr - Zr, Xi - Zi), (1, 0), (1, 0)), ((Xr, Xi), (0, 0), (-data[0], -data[1])))
+    else:
+        rows = (((Xr, Xi), data[:2], data[2:]), ((Zr, Zi), data[2:], data[:2]))
+    out = []
+    for (Pr, Pi), (ar, ai), (br, bi) in rows:  # P (X a - Z b)
+        m0 = Xr * ar
+        m1 = Xi * ai
+        m2 = (Xr + Xi) * (ar + ai)
+        n0 = Zr * br
+        n1 = Zi * bi
+        n2 = (Zr + Zi) * (br + bi)
+        ur = (m0 - m1 - n0 + n1) % p
+        ui = (m2 - m0 - m1 - n2 + n0 + n1) % p
+        m0 = Pr * ur
+        m1 = Pi * ui
+        m2 = (Pr + Pi) * (ur + ui)
+        out += ((m0 - m1) % p, (m2 - m0 - m1) % p)
+    return tuple(out)
 
 
 def xisog3_int(K: tuple, p: int) -> tuple:
@@ -251,15 +297,15 @@ def xeval4_int(Q: tuple, data: tuple, p: int) -> tuple:
     return Xo_r, Xo_i, (m0 - m1) % p, (m2 - m0 - m1) % p
 
 
-def _step(degree: int, isog_int, K: XPoint) -> IsogenyStep:
+def _step(isog_int, K: XPoint) -> IsogenyStep:
     p = K.X.p
     coeff, data = isog_int(point_ints(K), p)
-    return IsogenyStep(degree, coeff_from_ints(coeff, p), data)
+    return IsogenyStep(coeff_from_ints(coeff, p), data)
 
 
 def xisog3(K: XPoint) -> IsogenyStep:
     """3-isogeny from the order-3 kernel x(K); codomain in (alpha : beta) form."""
-    return _step(3, xisog3_int, K)
+    return _step(xisog3_int, K)
 
 
 def xeval3(Q: XPoint, step: IsogenyStep) -> XPoint:
@@ -269,12 +315,16 @@ def xeval3(Q: XPoint, step: IsogenyStep) -> XPoint:
 
 def xisog4(K: XPoint) -> IsogenyStep:
     """4-isogeny from the order-4 kernel x(K) with x(K) != +-1."""
-    return _step(4, xisog4_int, K)
+    return _step(xisog4_int, K)
 
 
 def xeval4(Q: XPoint, step: IsogenyStep) -> XPoint:
     p = Q.X.p
     return xpoint_from_ints(xeval4_int(point_ints(Q), step.eval_data, p), p)
+
+
+def _not_infinity(R: tuple, C: tuple, p: int) -> bool:
+    return bool(R[2] or R[3])
 
 
 def _has_order_3(R: tuple, C: tuple, p: int) -> bool:
@@ -328,12 +378,13 @@ def _schedule(strategy: Sequence[int], n: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def _walk(R, coeff, strategy, push_points, hook, mul_e, per_leaf, has_order, isog, ev):
+def _walk(R, coeff, strategy, push_points, fault_at, mul_e, per_leaf, has_order, isog, ev):
     """The chain with kernel <R> that the strategy schedules, from one
     degree's int kernels: mul_e(R, C, per_leaf * m, p) moves m leaves toward
-    the kernel, has_order(R, C, p) checks a kernel, isog(R, p) and
+    the kernel, has_order(R, C, p) checks a kernel, isog(R, C, p) and
     ev(Q, data, p) compute and evaluate one isogeny.  Points and the
     coefficient stay int tuples; the trace and the results are objects.
+    The imaginary parts of row fault_at's codomain coefficient are zeroed.
 
     Row 0's kernel is always checked; later rows only when the starting
     coefficient is singular or undefined, or after a fault that moved the
@@ -353,16 +404,13 @@ def _walk(R, coeff, strategy, push_points, hook, mul_e, per_leaf, has_order, iso
         if (row == 0 or check_every_row) and not has_order(R, C, p):
             trace.degenerate_at = row
             break
-        C, data = isog(R, p)
+        C, data = isog(R, C, p)
         coeff = coeff_from_ints(C, p)
-        if hook is not None:
-            faulted = hook.maybe_fire(row, coeff)
-            if faulted is not coeff:  # it fired: coeff itself comes back otherwise
-                faulted_C = coeff_ints(faulted)
-                check_every_row = check_every_row or not _same_curve(C, faulted_C, p)
-                coeff, C = faulted, faulted_C
-            if hook.fired and trace.fault_fired_at is None:
-                trace.fault_fired_at = row
+        if row == fault_at:
+            coeff = zero_imaginary_parts(coeff)
+            C, honest_C = coeff_ints(coeff), C
+            check_every_row = check_every_row or not _same_curve(honest_C, C, p)
+            trace.fault_fired_at = row
         trace.coeffs.append(coeff)
         if stack:
             stack = [ev(pt, data, p) for pt in stack]
@@ -371,22 +419,36 @@ def _walk(R, coeff, strategy, push_points, hook, mul_e, per_leaf, has_order, iso
     return coeff, [xpoint_from_ints(Q, p) for Q in pushed], trace
 
 
+def strategy_eval2(
+    R: XPoint, coeff: ProjCoeff, k: int, push_points: Sequence[XPoint], field: Fp2Field
+) -> tuple[ProjCoeff, list, ChainTrace]:
+    """2^k-isogeny with kernel <R>, R of exact order 2^k and k >= 1, as k
+    2-isogenies: the strategy k - 1, ..., 1, which doubles afresh from R's
+    image at each row, with a not-infinity kernel check.  A (0, 0) kernel on
+    a curve with non-square A + 2 raises DegenerateChainError."""
+    if k < 1:
+        raise StrategyError(f"a 2^k walk needs k >= 1, got {k}")
+    return _walk(R, coeff, range(k - 1, 0, -1), push_points, None, xdbl_e_int, 1, _not_infinity,
+                 lambda K, C, p: xisog2_int(K, C, field), xeval2_int)
+
+
 def strategy_eval3(
     R: XPoint,
     coeff: ProjCoeff,
     strategy: Sequence[int],
     push_points: Sequence[XPoint] = (),
-    hook: Optional[FaultHook] = None,
+    fault_at: Optional[int] = None,
 ) -> tuple[ProjCoeff, list, ChainTrace]:
     """Compute the 3^n-isogeny with kernel <R> as n sequential 3-isogenies,
     n = len(strategy) + 1, optionally pushing auxiliary points through every
-    step and applying the fault hook to freshly computed coefficients.
+    step and zeroing the imaginary parts of row fault_at's new coefficient.
 
     Kernels are order-3 checked where a check can fail (row 0, a singular
     start, the rows after a fault that moved the curve); a failure marks the
     trace degenerate and returns early instead of raising.
     """
-    return _walk(R, coeff, strategy, push_points, hook, xtpl_e_int, 1, _has_order_3, xisog3_int, xeval3_int)
+    return _walk(R, coeff, strategy, push_points, fault_at, xtpl_e_int, 1, _has_order_3,
+                 lambda K, C, p: xisog3_int(K, p), xeval3_int)
 
 
 def strategy_eval4(
@@ -396,9 +458,10 @@ def strategy_eval4(
     push_points: Sequence[XPoint] = (),
 ) -> tuple[ProjCoeff, list, ChainTrace]:
     """2^(2n)-isogeny with kernel <R> as n 4-isogenies, n = len(strategy) + 1:
-    strategy_eval3 with doublings in place of triplings and no fault hook
-    (the 2-power side is not a fault target here)."""
-    return _walk(R, coeff, strategy, push_points, None, xdbl_e_int, 2, _has_order_4, xisog4_int, xeval4_int)
+    strategy_eval3 with doublings in place of triplings and no fault (the
+    2-power side is not a fault target here)."""
+    return _walk(R, coeff, strategy, push_points, None, xdbl_e_int, 2, _has_order_4,
+                 lambda K, C, p: xisog4_int(K, p), xeval4_int)
 
 
 def validate_strategy(strategy: Sequence[int], n: int) -> bool:

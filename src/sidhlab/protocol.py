@@ -22,7 +22,7 @@ from typing import Optional
 from .field import FieldParams, Fp2, Fp2Field, SidhlabInputError, parse_int
 from .isogeny import (
     ChainTrace,
-    FaultHook,
+    DegenerateChainError,  # noqa: F401  re-exported, the same class as isogeny's
     balanced_strategy,
     strategy_eval3,
     strategy_eval4,
@@ -54,10 +54,6 @@ BOB = "bob"
 
 class InconsistentPublicKeyError(SidhlabInputError):
     """The three x-coordinates cannot sit on one curve as (P, Q, P-Q)."""
-
-
-class DegenerateChainError(SidhlabInputError):
-    """An isogeny chain hit a kernel that failed its order check."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,8 +244,7 @@ def keygen(params: SidhParams, side: str, sk: int) -> PublicKey:
         _, pushed, trace = strategy_eval3(kernel, coeff, params.strategy3, push)
     else:
         _, pushed, trace = strategy_eval4(kernel, coeff, params.strategy4, push)
-    if not trace.completed:
-        raise DegenerateChainError(f"keygen chain degenerate at step {trace.degenerate_at}")
+    trace.require_completed("keygen chain")
     return PublicKey(*(x_affine(pt) for pt in pushed))
 
 
@@ -258,9 +253,9 @@ def derive_with_trace(
     side: str,
     sk: int,
     pk: PublicKey,
-    hook: Optional[FaultHook] = None,
+    fault_at: Optional[int] = None,
 ) -> tuple[Optional[ProjCoeff], ChainTrace]:
-    """The derive chain with its trace; hook is the fault-injection surface.
+    """The derive chain with its trace; fault_at is strategy_eval3's (Bob only).
 
     Returns (final coefficient, trace); the coefficient is the last one
     computed even when the trace is degenerate.
@@ -269,10 +264,10 @@ def derive_with_trace(
     coeff, xP, xQ, xD = chain_inputs(pk, params.field)
     kernel = ladder3pt(sk, xP, xQ, xD, coeff)
     if side == BOB:
-        final, _, trace = strategy_eval3(kernel, coeff, params.strategy3, (), hook)
+        final, _, trace = strategy_eval3(kernel, coeff, params.strategy3, (), fault_at)
     else:
-        if hook is not None:
-            raise ValueError("the fault hook targets the 3-isogeny side only")
+        if fault_at is not None:
+            raise ValueError("the fault targets the 3-isogeny side only")
         final, _, trace = strategy_eval4(kernel, coeff, params.strategy4, ())
     return final, trace
 
@@ -285,8 +280,7 @@ def derive(params: SidhParams, side: str, sk: int, pk: PublicKey) -> Fp2:
     or sk.
     """
     final, trace = derive_with_trace(params, side, sk, pk)
-    if not trace.completed:
-        raise DegenerateChainError(f"derive chain degenerate at step {trace.degenerate_at}")
+    trace.require_completed("derive chain")
     return j_invariant(affine_a_from_projective(final), params.field)
 
 

@@ -3,7 +3,8 @@ program itself never needs, and earlier recipes kept as references: for
 sidhlab.attack, the forged pair from a fresh ladder and strategy walk from
 E_0 per call, and the candidate kernels from three binary ladders over the
 pushed-back forged triple; for the int kernels and the chain walker, the
-x-only formulas on Fp2 objects and a walker that checks every kernel.
+x-only formulas on Fp2 objects, a walker that checks every kernel, and the
+2^k masking walk as it stood before it ran on the chain walker.
 """
 
 import functools
@@ -13,7 +14,13 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from sidhlab.attack import OracleContradictionError
 from sidhlab.countermeasure import derive_bob_naive_reject
-from sidhlab.isogeny import ChainTrace, balanced_strategy, strategy_eval3, xeval3
+from sidhlab.isogeny import (
+    ChainTrace,
+    DegenerateChainError,
+    balanced_strategy,
+    strategy_eval3,
+    xeval3,
+)
 from sidhlab.isogeny import _schedule as schedule
 from sidhlab.montgomery import (
     FullPoint,
@@ -26,6 +33,7 @@ from sidhlab.montgomery import (
     x_affine,
     xpoint_from_affine,
     xtpl_e,
+    zero_imaginary_parts,
 )
 from sidhlab.protocol import (
     ALICE,
@@ -182,7 +190,7 @@ def reference_candidates(walk, pk: PublicKey) -> tuple:
 # The chain arithmetic on Fp2 objects, as it stood before the int kernels:
 # each formula written out from its docstring, and the walker that checks
 # every kernel.  The int kernels must return exactly these canonical ints,
-# and strategy_eval3/strategy_eval4 exactly this walker's results.
+# and strategy_eval2/3/4 exactly this walker's results.
 # --------------------------------------------------------------------------
 
 
@@ -272,6 +280,50 @@ def ref_xeval4(Q, data):
     return XPoint((s + a) * a, b * (b - s))
 
 
+def ref_xisog2(K):
+    """2-isogeny from an order-2 kernel x(K) != 0: (codomain, (X, Z))."""
+    x2 = K.X.sqr()
+    return ProjCoeff(K.Z.sqr() - x2, -x2), (K.X, K.Z)
+
+
+def ref_xisog2_zero(coeff, field):
+    """2-isogeny with the (0, 0) kernel: (((s + 2)^2 : (s - 2)^2), (2s,)),
+    s the canonical sqrt(A + 2); DegenerateChainError when A + 2 is not a
+    square."""
+    A = affine_a_from_projective(coeff)
+    two = field(2)
+    if not field.is_square(A + two):
+        raise DegenerateChainError("A + 2 is not a square at a (0, 0) kernel")
+    s = field.sqrt(A + two)
+    return ProjCoeff((s + two).sqr(), (s - two).sqr()), (s + s,)
+
+
+def ref_xeval2(Q, data):
+    if len(data) == 1:  # the (0, 0) kernel
+        (two_s,) = data
+        return XPoint((Q.X - Q.Z).sqr(), two_s * Q.X * Q.Z)
+    kx, kz = data
+    return XPoint(Q.X * (Q.X * kx - Q.Z * kz), Q.Z * (Q.X * kz - Q.Z * kx))
+
+
+def two_power_walk(kernel, coeff, k, push, field):
+    """The k-step 2-isogeny chain with kernel <kernel>, doubling afresh from
+    the kernel's image at each step and checking every step's kernel:
+    (codomain, pushed points), or DegenerateChainError when a kernel is
+    infinity."""
+    R = kernel
+    pushed = list(push)
+    for j in range(k):
+        K = ref_xdbl_e(R, coeff, k - 1 - j)
+        if K.Z.is_zero():
+            raise DegenerateChainError(f"2-power walk kernel collapsed at step {j}")
+        coeff, data = ref_xisog2_zero(coeff, field) if K.X.is_zero() else ref_xisog2(K)
+        if j < k - 1:
+            R = ref_xeval2(R, data)
+        pushed = [ref_xeval2(pt, data) for pt in pushed]
+    return coeff, pushed
+
+
 def _ref_has_order_3(R, coeff):
     return ref_exact_order_multiple(R, coeff, 3, 1) is not None
 
@@ -282,12 +334,17 @@ def _ref_has_order_4(R, coeff):
     return ref_exact_order_multiple(R, coeff, 2, 2) is not None
 
 
-def reference_walk(degree, R, coeff, strategy, push_points=(), hook=None):
-    """strategy_eval3 (degree 3) or strategy_eval4 (degree 4) with every
-    kernel order-checked."""
+def reference_walk(degree, R, coeff, strategy, push_points=(), fault_at=None, field=None):
+    """strategy_eval2 (degree 2, field given), strategy_eval3 (degree 3) or
+    strategy_eval4 (degree 4) with every kernel checked."""
+
+    def ref_xisog2_on(K, c):
+        return ref_xisog2_zero(c, field) if K.X.is_zero() else ref_xisog2(K)
+
     mul_e, per_leaf, has_order, isog, ev = {
-        3: (ref_xtpl_e, 1, _ref_has_order_3, ref_xisog3, ref_xeval3),
-        4: (ref_xdbl_e, 2, _ref_has_order_4, ref_xisog4, ref_xeval4),
+        2: (ref_xdbl_e, 1, lambda K, c: not K.Z.is_zero(), ref_xisog2_on, ref_xeval2),
+        3: (ref_xtpl_e, 1, _ref_has_order_3, lambda K, c: ref_xisog3(K), ref_xeval3),
+        4: (ref_xdbl_e, 2, _ref_has_order_4, lambda K, c: ref_xisog4(K), ref_xeval4),
     }[degree]
     trace = ChainTrace(coeffs=[coeff])
     pushed = list(push_points)
@@ -300,11 +357,10 @@ def reference_walk(degree, R, coeff, strategy, push_points=(), hook=None):
         if not has_order(R, coeff):
             trace.degenerate_at = row
             return coeff, pushed, trace
-        coeff, data = isog(R)
-        if hook is not None:
-            coeff = hook.maybe_fire(row, coeff)
-            if hook.fired and trace.fault_fired_at is None:
-                trace.fault_fired_at = row
+        coeff, data = isog(R, coeff)
+        if row == fault_at:
+            coeff = zero_imaginary_parts(coeff)
+            trace.fault_fired_at = row
         trace.coeffs.append(coeff)
         if stack:
             stack = [ev(pt, data) for pt in stack]

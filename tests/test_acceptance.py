@@ -22,7 +22,7 @@ from sidhlab.attack import (
 from sidhlab.countermeasure import PushforwardConfig, derive_bob_randomized
 from sidhlab.faultsim import make_oracle, oracle
 from sidhlab.field import Fp2Field, FieldParams
-from sidhlab.isogeny import FaultHook, xeval3, xeval4, xisog3, xisog4
+from sidhlab.isogeny import xeval3, xeval4, xisog3, xisog4
 from sidhlab.montgomery import (
     MontgomeryCurve,
     ProjCoeff,

@@ -1,23 +1,25 @@
 """The chain walker's check rule against a walker that checks every kernel.
 
-strategy_eval3 and strategy_eval4 order-check row 0, and later rows only
-from a singular start or after a fault that moved the curve; the isogeny
-module docstring argues that no other check can fail.  Here both must give
-exactly what helpers.reference_walk gives, on what the program feeds them:
-honest keys, forged instances at each fault index, masked chains, random
-and edited keys, and singular starting curves.
+strategy_eval2, strategy_eval3 and strategy_eval4 check row 0's kernel,
+and later rows only from a singular start or after a fault that moved the
+curve; the isogeny module docstring argues that no other check can fail.
+Here each must give exactly what helpers.reference_walk gives, and
+strategy_eval2 also what helpers.two_power_walk gives, on what the program
+feeds them: honest keys, forged instances at each fault index, the masking
+walks and their duals, random and edited keys, and singular starting curves.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from sidhlab import SidhlabInputError
+from sidhlab import SidhlabInputError, countermeasure, faultsim
 from sidhlab.attack import PrefixWalk, forge_public_keys
-from sidhlab.countermeasure import two_power_walk
-from sidhlab.faultsim import oracle
-from sidhlab.isogeny import FaultHook, strategy_eval3, strategy_eval4
+from sidhlab.countermeasure import PushforwardConfig, derive_bob_randomized
+from sidhlab.faultsim import oracle, oracle_randomized
+from sidhlab.isogeny import DegenerateChainError, strategy_eval2, strategy_eval3, strategy_eval4
 from sidhlab.montgomery import (
     MontgomeryCurve,
     ProjCoeff,
@@ -30,22 +32,43 @@ from sidhlab.montgomery import (
     xadd,
     xdbl,
 )
-from sidhlab.protocol import ALICE, BOB, chain_inputs, keygen, sample_torsion_x
+from sidhlab.protocol import ALICE, BOB, chain_inputs, derive, keygen, sample_torsion_x
 
-from helpers import fuzz, public_keys, reference_walk, setting, xpoint_infinity
+from helpers import fuzz, public_keys, reference_walk, setting, two_power_walk, xpoint_infinity
 
 
-def same_run(params, degree, kernel, coeff, push=(), fault_at=None):
-    """Run the chain both ways, assert every output is the same int for
-    int, and return the trace."""
-    strategy = params.strategy3 if degree == 3 else params.strategy4
-    hook, ref_hook = (None, None) if fault_at is None else (FaultHook(fault_at), FaultHook(fault_at))
-    if degree == 3:
-        got = strategy_eval3(kernel, coeff, strategy, push, hook)
+def same_run(params, degree, kernel, coeff, push=(), fault_at=None, k=None):
+    """Run the chain both ways (a degree-2 chain of k steps three ways),
+    assert every output is the same int for int, and return the walker's
+    (final, pushed, trace).  A degree-2 chain that raises a SidhlabInputError
+    raises it every way."""
+    F = params.field
+    if degree == 2:
+        strategy = list(range(k - 1, 0, -1))
+        try:
+            got = strategy_eval2(kernel, coeff, k, push, F)
+        except SidhlabInputError as exc:
+            with pytest.raises(type(exc)):
+                reference_walk(2, kernel, coeff, strategy, push, field=F)
+            with pytest.raises(type(exc)):
+                two_power_walk(kernel, coeff, k, push, F)
+            raise
+    elif degree == 3:
+        strategy = params.strategy3
+        got = strategy_eval3(kernel, coeff, strategy, push, fault_at)
     else:
+        strategy = params.strategy4
         got = strategy_eval4(kernel, coeff, strategy, push)
-    want = reference_walk(degree, kernel, coeff, strategy, push, ref_hook)
+    want = reference_walk(degree, kernel, coeff, strategy, push, fault_at, F)
     (final, pushed, trace), (ref_final, ref_pushed, ref_trace) = got, want
+    if degree == 2:
+        if trace.completed:
+            old_final, old_pushed = two_power_walk(kernel, coeff, k, push, F)
+            assert coeff_ints(old_final) == coeff_ints(final)
+            assert [point_ints(Q) for Q in old_pushed] == [point_ints(Q) for Q in pushed]
+        else:
+            with pytest.raises(DegenerateChainError):
+                two_power_walk(kernel, coeff, k, push, F)
     assert (trace.completed, trace.degenerate_at, trace.fault_fired_at) == (
         ref_trace.completed,
         ref_trace.degenerate_at,
@@ -55,7 +78,7 @@ def same_run(params, degree, kernel, coeff, push=(), fault_at=None):
     assert [point_ints(K) for K in trace.kernels] == [point_ints(K) for K in ref_trace.kernels]
     assert [point_ints(Q) for Q in pushed] == [point_ints(Q) for Q in ref_pushed]
     assert coeff_ints(final) == coeff_ints(ref_final)
-    return trace
+    return got
 
 
 def keyed_chain(params, side, sk, pk=None):
@@ -80,9 +103,9 @@ def test_honest_keygens_and_derives(name, keys, toy, mid, p434):
     for _ in range(keys):
         sks = {side: params.sample_sk(side, rng) for side in (ALICE, BOB)}
         for side, other in ((ALICE, BOB), (BOB, ALICE)):
-            assert same_run(params, degree(side), *keyed_chain(params, side, sks[side])).completed
+            assert same_run(params, degree(side), *keyed_chain(params, side, sks[side]))[2].completed
             pk = keygen(params, other, sks[other])
-            assert same_run(params, degree(side), *keyed_chain(params, side, sks[side], pk)).completed
+            assert same_run(params, degree(side), *keyed_chain(params, side, sks[side], pk))[2].completed
 
 
 def forged_runs(params, keys, indices, rng):
@@ -109,15 +132,31 @@ def test_forged_instances_at_each_fault_index(name, keys, indices, toy, mid, p43
     completed = derailed = 0
     for sk, i, pk in forged_runs(params, keys, indices, rng):
         kernel, coeff, _ = keyed_chain(params, BOB, sk, pk)
-        trace = same_run(params, 3, kernel, coeff, fault_at=i)
+        _, _, trace = same_run(params, 3, kernel, coeff, fault_at=i)
         completed += trace.completed
         derailed += trace.degenerate_at == i + 1
         same_run(params, 3, kernel, coeff)
     assert completed > 0 and derailed > 0  # the no-op fault and the curve-moving one
 
 
+def check_masking_walks(monkeypatch, params):
+    """Send every 2^k walk that countermeasure and faultsim run through
+    same_run; returns a Counter of the rows at which they met a (0, 0)
+    kernel."""
+    zero_rows = Counter()
+
+    def eval2(R, coeff, k, push, field):
+        got = same_run(params, 2, R, coeff, push, k=k)
+        zero_rows.update(row for row, K in enumerate(got[2].kernels) if K.X.is_zero())
+        return got
+
+    for module in (countermeasure, faultsim):
+        monkeypatch.setattr(module, "strategy_eval2", eval2)
+    return zero_rows
+
+
 @pytest.mark.parametrize("name", ["toy431", "mid"])
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 4])
 def test_masked_chains(name, k, toy, mid):
     """The chains oracle_randomized runs: the forged key pushed through a
     random 2^k-isogeny, then the faulted 3-chain."""
@@ -128,18 +167,39 @@ def test_masked_chains(name, k, toy, mid):
     for sk, i, pk in forged_runs(params, keys, range(params.e3 - 1), rng):
         coeff, *triple = chain_inputs(pk, F)
         R = sample_torsion_x(params, MontgomeryCurve(affine_a_from_projective(coeff), F), 2, k, rng)
-        coeff, triple = two_power_walk(R, coeff, k, triple, F)
+        coeff, triple, _ = same_run(params, 2, R, coeff, triple, k=k)
         same_run(params, 3, ladder3pt(sk, *triple, coeff), coeff, fault_at=i)
 
 
+@pytest.mark.parametrize("name, ks, derives", [("toy431", (1, 2, 4), 100), ("mid", (1, 2, 4), 10), ("p434", (8,), 2)])
+def test_masked_derives(name, ks, derives, monkeypatch, toy, mid, p434):
+    """Both walks of derive_bob_randomized, rho and its dual, on honest
+    keys; at toy431 they meet (0, 0) kernels at later rows, not only at
+    row 0."""
+    ps = {"toy431": toy, "mid": mid, "p434": p434}[name]
+    zero_rows = check_masking_walks(monkeypatch, ps)
+    rng = random.Random(25)
+    for k in ks:
+        for _ in range(derives):
+            ska, skb = ps.sample_sk(ALICE, rng), ps.sample_sk(BOB, rng)
+            pka = keygen(ps, ALICE, ska)
+            assert derive_bob_randomized(ps, skb, pka, PushforwardConfig(k), rng) == derive(ps, BOB, skb, pka)
+    assert zero_rows[0] > 0
+    if name == "toy431":
+        assert all(zero_rows[row] > 0 for row in range(1, 4)), zero_rows
+
+
 @pytest.mark.parametrize("name, examples", [("toy431", 300), ("p434", 60)])
-def test_random_and_edited_keys(name, examples):
+def test_random_and_edited_keys(name, examples, monkeypatch):
     ps, sk, _ = setting(name)
     ska = ps.sample_sk(ALICE, random.Random(5))
+    check_masking_walks(monkeypatch, ps)
 
     @fuzz(examples)
     @given(public_keys(name), st.integers(0, ps.e3 - 2))
     def check(pk, i):
+        for k in (1, 2):
+            oracle_randomized(ps, sk, pk, i, PushforwardConfig(k), random.Random(i))
         try:
             kernel, coeff, _ = keyed_chain(ps, BOB, sk, pk)
             alice = keyed_chain(ps, ALICE, ska, pk)
@@ -181,8 +241,8 @@ def test_singular_starts(name, toy, mid):
             for deg, order in ((3, 3**params.e3), (4, 1 << params.e2)):
                 for R in (P, xmul((p * p - 1) // order, P, coeff, F)):
                     if deg == 3:
-                        completed += same_run(params, 3, R, coeff, fault_at=rng.randrange(params.e3 - 1)).completed
-                    completed += same_run(params, deg, R, coeff).completed
+                        completed += same_run(params, 3, R, coeff, fault_at=rng.randrange(params.e3 - 1))[2].completed
+                    completed += same_run(params, deg, R, coeff)[2].completed
     assert completed > 0
 
 

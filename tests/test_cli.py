@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -302,6 +303,39 @@ class TestUntrustedInput:
         out = tmp_path / "missing" / "r.jsonl"
         res = runner.invoke(main, ["attack", "--params", "toy431", "--trials", "0", "--json", str(out)])
         _usage_error(res, "cannot write")
+
+    @pytest.mark.parametrize("k", ["8", "-1"])
+    def test_bench_masking_degree_outside_0_to_e2(self, runner, k):
+        res = runner.invoke(main, ["countermeasure", "bench", "--params", "toy431", "--k", k, "--trials", "1"])
+        _usage_error(res, "--k")
+
+
+class TestStandingGuards:
+    """Outputs that must stay byte for byte what they are: a change that
+    moves them changed the program's behaviour."""
+
+    def test_toy431_attack_report(self, runner):
+        args = ["attack", "--params", "toy431", "--trials", "200", "--seed", "0", "--stable-durations"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        digest = hashlib.sha256(res.stdout.encode()).hexdigest()
+        assert digest == "60c59504f5c8b944b19bd735106229083ef387cf20cd0a608311e0cced78d227"
+
+    def test_toy431_countermeasure_bench(self, runner):
+        args = ["countermeasure", "bench", "--params", "toy431", "--k", "2", "--trials", "20", "--seed", "0"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        data = json.loads(res.stdout)
+        del data["overhead_ratio"]  # a ratio of CPU times
+        assert data == {
+            "derive_mismatches": 0,
+            "forged_oracle_hits": 4,
+            "forged_oracle_success_rate": 0.5,
+            "forged_oracle_total": 8,
+            "k": 2,
+            "param_set": "toy431",
+            "trials": 20,
+        }
 
 
 class TestCountermeasureBench:

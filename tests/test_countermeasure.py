@@ -8,16 +8,19 @@ from sidhlab.countermeasure import (
     PushforwardConfig,
     derive_bob_naive_reject,
     derive_bob_randomized,
-    xeval2,
-    xisog2,
-    xisog2_zero,
 )
 from sidhlab.faultsim import oracle_randomized
+from sidhlab.isogeny import DegenerateChainError, StrategyError, strategy_eval2, xeval2_int, xisog2_int
 from sidhlab.montgomery import (
     MontgomeryCurve,
     affine_a_from_projective,
+    coeff_from_a,
+    coeff_from_ints,
+    coeff_ints,
     j_invariant,
+    point_ints,
     sample_point_of_order,
+    xpoint_from_affine,
     xpoint_in_fp,
 )
 from sidhlab.protocol import ALICE, BOB, derive, keygen
@@ -27,6 +30,14 @@ from velu_oracle import j_short_weierstrass, velu_isogeny
 
 
 class TestTwoIsogenies:
+    """The int 2-isogeny kernels against Velu's formulas."""
+
+    def _step(self, E, P):
+        """(codomain, image of the kernel point) of the 2-isogeny with kernel <P>."""
+        F = E.field
+        C, data = xisog2_int(point_ints(xpoint(E, P)), coeff_ints(E.coeff()), F)
+        return coeff_from_ints(C, F.p), xeval2_int(point_ints(xpoint(E, P)), data, F.p)
+
     def test_generic_kernel_matches_velu(self, F431, rng):
         E = MontgomeryCurve(F431(6), F431)
         seen = {}
@@ -38,37 +49,43 @@ class TestTwoIsogenies:
         for key, P in seen.items():
             if P.x.is_zero():
                 continue
-            step = xisog2(xpoint(E, P))
-            A2 = affine_a_from_projective(step.new_coeff)
+            coeff, image = self._step(E, P)
             a2, b2, _ = velu_isogeny(E, P)
-            assert j_invariant(A2, F431) == j_short_weierstrass(a2, b2, F431)
-            assert xeval2(xpoint(E, P), step).Z.is_zero()
+            assert j_invariant(affine_a_from_projective(coeff), F431) == j_short_weierstrass(a2, b2, F431)
+            assert image[2:] == (0, 0)  # the kernel maps to infinity
             checked += 1
         assert checked == 2
 
     def test_zero_kernel_matches_velu(self, F431, rng):
         E = MontgomeryCurve(F431(6), F431)
-        P00 = next(
-            sample_point_of_order(E, 2, rng)
-            for _ in range(100)
-            if True
-        )
+        P00 = sample_point_of_order(E, 2, rng)
         while not P00.x.is_zero():
             P00 = sample_point_of_order(E, 2, rng)
-        step = xisog2_zero(E.coeff(), F431)
-        A2 = affine_a_from_projective(step.new_coeff)
+        coeff, image = self._step(E, P00)
         a2, b2, _ = velu_isogeny(E, P00)
-        assert j_invariant(A2, F431) == j_short_weierstrass(a2, b2, F431)
-        assert xeval2(xpoint(E, P00), step).Z.is_zero()
+        assert j_invariant(affine_a_from_projective(coeff), F431) == j_short_weierstrass(a2, b2, F431)
+        assert image[2:] == (0, 0)
 
     def test_zero_kernel_eval_sends_x1_to_zero(self, F431):
         # the order-4 points above (0,0) map onto the codomain's (0,0)
         E = MontgomeryCurve(F431(6), F431)
-        step = xisog2_zero(E.coeff(), F431)
-        from sidhlab.montgomery import x_affine, xpoint_from_affine
+        _, data = xisog2_int((0, 0, 1, 0), coeff_ints(E.coeff()), F431)
+        image = xeval2_int((1, 0, 1, 0), data, F431.p)
+        assert image[:2] == (0, 0) and image[2:] != (0, 0)
 
-        img = xeval2(xpoint_from_affine(F431.one, F431), step)
-        assert x_affine(img).is_zero()
+    def test_zero_kernel_needs_a_square_a_plus_2(self, F431, rng):
+        """A curve whose A + 2 is not a square has no rational x = 1 point
+        above (0, 0): the (0, 0) kernel raises, in the walker too."""
+        A = next(A for A in iter(lambda: F431.random_element(rng), None) if not F431.is_square(A + F431(2)))
+        coeff = coeff_from_a(A, F431)
+        with pytest.raises(DegenerateChainError):
+            xisog2_int((0, 0, 1, 0), coeff_ints(coeff), F431)
+        with pytest.raises(DegenerateChainError):
+            strategy_eval2(xpoint_from_affine(F431.zero, F431), coeff, 1, (), F431)
+
+    def test_walk_of_no_steps_is_refused(self, toy):
+        with pytest.raises(StrategyError):
+            strategy_eval2(toy.basis_xpoints("alice")[0], toy.coeff0, 0, (), toy.field)
 
 
 class TestRandomizedPushforward:
@@ -168,21 +185,21 @@ class TestFaultlessAttack:
         import sidhlab.faultsim as fs
         import sidhlab.isogeny as iso
 
-        calls = {"oracle": 0, "hook": 0}
-        real_init = iso.FaultHook.__init__
+        calls = {"oracle": 0, "zeroing": 0}
+        real_zeroing = iso.zero_imaginary_parts
 
         def counting_oracle(*a, **kw):
             calls["oracle"] += 1
             raise AssertionError("fault oracle used")
 
-        def counting_hook(self, *a, **kw):
-            calls["hook"] += 1
-            return real_init(self, *a, **kw)
+        def counting_zeroing(coeff):
+            calls["zeroing"] += 1
+            return real_zeroing(coeff)
 
         monkeypatch.setattr(fs, "oracle", counting_oracle)
-        monkeypatch.setattr(iso.FaultHook, "__init__", counting_hook)
+        monkeypatch.setattr(iso, "zero_imaginary_parts", counting_zeroing)
         sk = 7
         rej = make_reject_oracle(toy, sk)
         got = faultless_attack(toy, rej, keygen(toy, BOB, sk), random.Random(92))
         assert got % 27 == sk % 27
-        assert calls == {"oracle": 0, "hook": 0}
+        assert calls == {"oracle": 0, "zeroing": 0}

@@ -150,11 +150,8 @@ class TestTraceDump:
         assert all(("fp" in ln or "degenerate" in ln) for ln in lines)
 
     def test_dump_marks_fault_and_degeneracy(self, toy, rng):
-        from sidhlab.isogeny import FaultHook
-
         forged = forge_public_keys(prefix_walk(toy, 0, 1), rng)
         sk = next(s for s in range(27) if not truth_table(toy, s, 1, forged.pk))
-        hook = FaultHook(1)
-        _, trace = derive_with_trace(toy, BOB, sk, forged.pk, hook)
+        _, trace = derive_with_trace(toy, BOB, sk, forged.pk, 1)
         text = dump_chain_trace(trace, toy.field)
         assert "fault_at=1" in text and "degenerate_at=" in text

@@ -9,11 +9,14 @@ import random
 
 import pytest
 
+from sidhlab import SidhlabInputError
 from sidhlab.isogeny import (
+    xeval2_int,
     xeval3,
     xeval3_int,
     xeval4,
     xeval4_int,
+    xisog2_int,
     xisog3,
     xisog3_int,
     xisog4,
@@ -46,8 +49,11 @@ from helpers import (
     ref_xadd,
     ref_xdbl,
     ref_xdbl_e,
+    ref_xeval2,
     ref_xeval3,
     ref_xeval4,
+    ref_xisog2,
+    ref_xisog2_zero,
     ref_xisog3,
     ref_xisog4,
     ref_xtpl,
@@ -157,3 +163,27 @@ def test_isogeny_kernels(toy, cases):
             assert coeff == coeff_ints(want_coeff)
             assert ints(ev(Q, isog(K))) == ev_int(point_ints(Q), data, p) == ints(ref_ev(Q, want_data))
             assert coeff_ints(isog(K).new_coeff) == coeff
+
+
+def test_two_isogeny_kernels(toy, cases):
+    """xisog2_int and xeval2_int against the object formulas, on every
+    curve of the cases: (0, 0) kernels need sqrt(A + 2), and the singular
+    or undefined curves and non-square A + 2 raise the same way."""
+    F, p = toy.field, toy.field.p
+    pts, coeffs = cases
+    rng = random.Random(12)
+    zero_kernels = 0
+    for C in coeffs:
+        for K in pts[::20] + pts[2000:]:
+            try:
+                want_coeff, want_data = ref_xisog2_zero(C, F) if K.X.is_zero() else ref_xisog2(K)
+            except SidhlabInputError as exc:
+                with pytest.raises(type(exc)):
+                    xisog2_int(point_ints(K), coeff_ints(C), F)
+                continue
+            coeff, data = xisog2_int(point_ints(K), coeff_ints(C), F)
+            assert coeff == coeff_ints(want_coeff)
+            zero_kernels += len(data) == 2
+            for Q in [rng.choice(pts) for _ in range(4)] + pts[2000:2005]:
+                assert xeval2_int(point_ints(Q), data, p) == ints(ref_xeval2(Q, want_data))
+    assert zero_kernels > 0

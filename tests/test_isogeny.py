@@ -5,7 +5,6 @@ import pytest
 from sidhlab.field import Fp2Field, FieldParams
 from sidhlab.isogeny import (
     ChainTrace,
-    FaultHook,
     StrategyError,
     balanced_strategy,
     strategy_eval3,
@@ -226,8 +225,7 @@ class TestFaultHook:
 
         prefix = sk % 3**i if i else 0
         forged = forge_public_keys(prefix_walk(toy, prefix, i), rng)
-        hook = FaultHook(target_index=i)
-        final, trace = derive_with_trace(toy, BOB, sk, forged.pk, hook)
+        final, trace = derive_with_trace(toy, BOB, sk, forged.pk, i)
         base_final, base_trace = derive_with_trace(toy, BOB, sk, forged.pk)
         return final, trace, base_final, base_trace
 
@@ -262,20 +260,22 @@ class TestFaultHook:
                 assert tr.degenerate_at is not None and tr.degenerate_at >= i + 1
 
     def test_hook_fires_once(self, toy, rng):
+        """The fault zeroes row i's coefficient, and only that one: every
+        earlier row is the honest run's."""
         E = toy.curve
-        R = sample_point_of_order(E, 27, rng)
-        hook = FaultHook(target_index=0)
-        strategy_eval3(xpoint(E, R), toy.coeff0, toy.strategy3, (), hook)
-        assert hook.fired
-        before = zero_imaginary_parts(toy.coeff0)
-        assert hook.maybe_fire(0, toy.coeff0) == toy.coeff0  # second shot is dead
+        R = xpoint(E, sample_point_of_order(E, 27, rng))
+        _, _, honest = strategy_eval3(R, toy.coeff0, toy.strategy3)
+        for i in range(toy.e3 - 1):
+            _, _, trace = strategy_eval3(R, toy.coeff0, toy.strategy3, (), i)
+            assert trace.fault_fired_at == i
+            assert trace.coeffs[: i + 1] == honest.coeffs[: i + 1]
+            assert trace.coeffs[i + 1] == zero_imaginary_parts(honest.coeffs[i + 1])
 
     def test_disarmed_hook_is_inert(self, toy, rng):
         E = toy.curve
         R = sample_point_of_order(E, 27, rng)
-        hook = FaultHook(target_index=0, armed=False)
-        final, _, trace = strategy_eval3(xpoint(E, R), toy.coeff0, toy.strategy3, (), hook)
-        assert trace.completed and not hook.fired and trace.fault_fired_at is None
+        final, _, trace = strategy_eval3(xpoint(E, R), toy.coeff0, toy.strategy3, (), None)
+        assert trace.completed and trace.fault_fired_at is None
 
 
 class TestStrategies:
