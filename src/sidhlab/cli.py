@@ -176,7 +176,7 @@ def attack_cmd(params_arg, trials, seed, json_out, csv_out, jobs, stable_duratio
     _load(params_arg)  # fail fast on bad input
     tasks = [(params_arg, seed + idx) for idx in range(trials)]
     if jobs > 1 and trials > 1:
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(min(jobs, trials)) as pool:
             reports = list(pool.imap_unordered(_run_trial, tasks))
     else:
         reports = [_run_trial(t) for t in tasks]
@@ -216,7 +216,7 @@ def countermeasure():
 @countermeasure.command("bench")
 @click.option("--params", "params_arg", type=str, required=True)
 @click.option("--k", type=int, required=True)
-@click.option("--trials", type=int, default=20, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=20, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--json", "json_out", type=click.Path(dir_okay=False), default=None)
 def countermeasure_bench(params_arg, k, trials, seed, json_out):
@@ -229,7 +229,7 @@ def countermeasure_bench(params_arg, k, trials, seed, json_out):
 
     t_honest = t_masked = 0.0
     mismatches = 0
-    for _ in range(max(trials, 1)):
+    for _ in range(trials):
         ska = ps.sample_sk(ALICE, rng)
         skb = ps.sample_sk(BOB, rng)
         pka = keygen(ps, ALICE, ska)
@@ -244,7 +244,7 @@ def countermeasure_bench(params_arg, k, trials, seed, json_out):
         mismatches += got != want
 
     hits = total = 0
-    for trial in range(max(trials, 1)):
+    for _ in range(trials):
         skb = ps.sample_sk(BOB, rng)
         i = min(1, ps.e3 - 2)
         prefix = skb % 3**i

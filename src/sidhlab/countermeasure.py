@@ -7,10 +7,10 @@
     coefficient lies in GF(p).  This one backfires: accept/reject is itself
     a one-bit oracle (attack.faultless_attack recovers the key from it).
 
-Both 2^k walks, rho and its dual, run on isogeny.strategy_eval2; sampling
-retries until the two sampled points span the 2^k-torsion.  The fault
-oracle against the masked responder lives in faultsim, next to the
-unmasked one.
+Both 2^k walks, rho and its dual, run on isogeny.strategy_eval2, the secret
+3-chain between them on protocol.secret_isogeny; sampling retries until the
+two sampled points span the 2^k-torsion.  The fault oracle against the masked
+responder lives in faultsim, and masking_degree checks k for both.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .field import Fp2
-from .isogeny import strategy_eval2, strategy_eval3
+from .isogeny import strategy_eval2
 from .montgomery import (
     MontgomeryCurve,
     SamplingExhaustedError,
     affine_a_from_projective,
     coeff_in_fp,
     j_invariant,
-    ladder3pt,
     x_affine,
     xdbl_e,
 )
@@ -36,9 +35,11 @@ from .protocol import (
     PublicKey,
     SidhParams,
     chain_inputs,
+    check_sk,
     derive,
     derive_with_trace,
     sample_torsion_x,
+    secret_isogeny,
 )
 
 
@@ -56,6 +57,13 @@ class NaiveRejectOutcome:
     rejected_step: Optional[int] = None
 
 
+def masking_degree(params: SidhParams, config: PushforwardConfig) -> int:
+    """config.k; a plain ValueError when it lies outside [0, e2]."""
+    if not 0 <= config.k <= params.e2:
+        raise ValueError(f"pushforward exponent k = {config.k} outside [0, e2 = {params.e2}]")
+    return config.k
+
+
 def derive_bob_randomized(
     params: SidhParams,
     sk: int,
@@ -69,9 +77,8 @@ def derive_bob_randomized(
 
     A pk that corrupts either chain raises DegenerateChainError, as in derive.
     """
-    k = config.k
-    if not 0 <= k <= params.e2:
-        raise ValueError("pushforward exponent k outside [0, e2]")
+    k = masking_degree(params, config)
+    check_sk(params, BOB, sk)
     if k == 0:
         return derive(params, BOB, sk, pk)
     F = params.field
@@ -84,10 +91,9 @@ def derive_bob_randomized(
             break  # <R, D> spans the 2^k-torsion
     else:
         raise SamplingExhaustedError("no spanning 2-power pair")
-    coeff_masked, (xP1, xQ1, xD1, d_img), trace = strategy_eval2(R, coeff_A, k, triple + [D], F)
+    coeff_masked, (*triple, d_img), trace = strategy_eval2(R, coeff_A, k, triple + [D], F)
     trace.require_completed("masking walk")
-    kernel = ladder3pt(sk, xP1, xQ1, xD1, coeff_masked)
-    final, (d_img,), trace = strategy_eval3(kernel, coeff_masked, params.strategy3, [d_img])
+    final, (d_img,), trace = secret_isogeny(params, BOB, sk, coeff_masked, triple, [d_img])
     trace.require_completed("masked chain")
     back, _, trace = strategy_eval2(d_img, final, k, (), F)
     trace.require_completed("dual walk")

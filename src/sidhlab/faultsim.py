@@ -1,6 +1,7 @@
 """The fault oracles: run the victim's derive, plain (oracle) or masked by the
 randomized pushforward (oracle_randomized), with one injected coefficient
-zeroing and report whether the chain still looks supersingular.
+zeroing and report whether the chain still looks supersingular.  Both run
+the victim's chain on protocol.secret_isogeny with the fault as a row index.
 
 The verdict combines (a) the per-step kernel order checks the chain evaluator
 already performs (a faulted coefficient outside GF(p) derails the very next
@@ -8,7 +9,8 @@ kernel) and (b) a final-curve spot check that three random on-curve points
 are annihilated by p + 1.  Honest GF(p)-coefficient faults are literal
 no-ops, so the whole run, including the final j-invariant, is unchanged.
 Both oracles map every malformed public key to bit 0 by catching
-SidhlabInputError; a plain ValueError (an out-of-range i or sk) propagates.
+SidhlabInputError; a plain ValueError (an out-of-range i, sk or masking
+degree) propagates, checked before the public key is read.
 """
 
 from __future__ import annotations
@@ -18,16 +20,15 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .countermeasure import PushforwardConfig
+from .countermeasure import PushforwardConfig, masking_degree
 from .field import Fp2Field, SidhlabInputError
-from .isogeny import ChainTrace, strategy_eval2, strategy_eval3
+from .isogeny import ChainTrace, strategy_eval2
 from .montgomery import (
     DegenerateCoefficientError,
     MontgomeryCurve,
     ProjCoeff,
     affine_a_from_projective,
     coeff_in_fp,
-    ladder3pt,
     xdbl_e,
     xpoint_from_affine,
     xtpl_e,
@@ -37,8 +38,10 @@ from .protocol import (
     PublicKey,
     SidhParams,
     chain_inputs,
+    check_sk,
     derive_with_trace,
     sample_torsion_x,
+    secret_isogeny,
 )
 
 SPOT_CHECK_POINTS = 3
@@ -90,7 +93,8 @@ def oracle_randomized(
     and the spot-check points are drawn from rng.  Used to measure how the
     masking degrades the forger's success rate."""
     _check_fault_index(params, i)
-    k, F = config.k, params.field
+    k, F = masking_degree(params, config), params.field
+    check_sk(params, BOB, sk)
     try:
         coeff, *triple = chain_inputs(pk, F)
         E_A = MontgomeryCurve(affine_a_from_projective(coeff), F)
@@ -99,8 +103,7 @@ def oracle_randomized(
             mask.require_completed("masking walk")
     except SidhlabInputError:
         return 0
-    kernel = ladder3pt(sk, *triple, coeff)
-    final, _, trace = strategy_eval3(kernel, coeff, params.strategy3, (), i)
+    final, _, trace = secret_isogeny(params, BOB, sk, coeff, triple, (), i)
     return _verdict(params, final, trace, rng)[0]
 
 

@@ -464,15 +464,6 @@ def strategy_eval4(
                  lambda K, C, p: xisog4_int(K, p), xeval4_int)
 
 
-def validate_strategy(strategy: Sequence[int], n: int) -> bool:
-    """True iff the strategy drives an n-leaf chain through every leaf once."""
-    try:
-        _schedule(strategy, n)
-    except StrategyError:
-        return False
-    return True
-
-
 def balanced_strategy(n: int) -> list[int]:
     """Minimum-cost strategy for an n-leaf chain under the usual recursion
     with unit weights: splitting at b costs C(n-b) + C(b) + b + (n-b).

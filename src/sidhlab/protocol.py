@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from importlib.resources import files
 from typing import Optional
 
@@ -26,7 +27,6 @@ from .isogeny import (
     balanced_strategy,
     strategy_eval3,
     strategy_eval4,
-    validate_strategy,
 )
 from .montgomery import (
     FullPoint,
@@ -67,20 +67,29 @@ class PublicKey:
 
 @dataclass
 class SidhParams:
-    """Public parameter set: field, starting curve A = 6, both torsion bases
-    as x-coordinate triples, and default strategies."""
+    """Public parameter set as its file holds it: exponents and both torsion
+    bases on A = 6; the field and the strategies follow from the exponents."""
 
     name: str
     field_params: FieldParams
-    field: Fp2Field
     xPA: Fp2
     xQA: Fp2
     xDA: Fp2
     xPB: Fp2
     xQB: Fp2
     xDB: Fp2
-    strategy3: list
-    strategy4: list
+
+    @cached_property
+    def field(self) -> Fp2Field:
+        return Fp2Field(self.field_params)
+
+    @cached_property
+    def strategy3(self) -> list:
+        return balanced_strategy(self.e3)
+
+    @cached_property
+    def strategy4(self) -> list:
+        return balanced_strategy(self.e2 // 2)
 
     @property
     def e2(self) -> int:
@@ -124,27 +133,25 @@ class SidhParams:
         if self.e2 % 2 != 0:
             raise SidhlabInputError("e2 must be even (4-isogeny chains only)")
         coeff = self.coeff0
-        xPA, xQA, xDA = self.basis_xpoints(ALICE)
-        xPB, xQB, xDB = self.basis_xpoints(BOB)
-        for label, P, ell, e in (
-            ("x(PA)", xPA, 2, self.e2),
-            ("x(QA)", xQA, 2, self.e2),
-            ("x(PB)", xPB, 3, self.e3),
-            ("x(QB)", xQB, 3, self.e3),
+        tops = []  # x([l^(e-1)]P) of each basis point
+        for label, x, ell, e in (
+            ("x(PA)", self.xPA, 2, self.e2),
+            ("x(QA)", self.xQA, 2, self.e2),
+            ("x(PB)", self.xPB, 3, self.e3),
+            ("x(QB)", self.xQB, 3, self.e3),
         ):
-            if exact_order_multiple(P, coeff, ell, e) is None:
+            top = exact_order_multiple(xpoint_from_affine(x, F), coeff, ell, e)
+            if top is None:
                 raise SidhlabInputError(f"{label} does not have exact order {ell}^{e}")
-        pa2 = xdbl_e(xPA, coeff, self.e2 - 1)
-        qa2 = xdbl_e(xQA, coeff, self.e2 - 1)
-        if x_affine(pa2) == x_affine(qa2):
+            tops.append(x_affine(top))
+        pa2, qa2, pb3, qb3 = tops
+        if pa2 == qa2:
             raise SidhlabInputError("Alice basis is dependent")
-        if not x_affine(qa2).is_zero():
+        if not qa2.is_zero():
             raise SidhlabInputError("[2^(e2-1)]QA must be (0, 0)")
-        if x_affine(pa2).is_zero():
+        if pa2.is_zero():
             raise SidhlabInputError("[2^(e2-1)]PA must avoid (0, 0)")
-        pb3 = xtpl_e(xPB, coeff, self.e3 - 1)
-        qb3 = xtpl_e(xQB, coeff, self.e3 - 1)
-        if x_affine(pb3) == x_affine(qb3):
+        if pb3 == qb3:
             raise SidhlabInputError("Bob basis is dependent")
         if self.xPB.im != 0 or self.xQB.im != 0:
             raise SidhlabInputError("x(PB), x(QB) must lie in GF(p)")
@@ -156,9 +163,6 @@ class SidhParams:
         ):
             if not _difference_consistent(xP, xQ, xD, F(6), F):
                 raise SidhlabInputError(f"{label} difference x-coordinate is inconsistent")
-        for s, n in ((self.strategy3, self.e3), (self.strategy4, self.e2 // 2)):
-            if not validate_strategy(s, n):
-                raise SidhlabInputError("invalid default strategy")
 
 
 def _difference_consistent(xP: Fp2, xQ: Fp2, xD: Fp2, A: Fp2, F: Fp2Field) -> bool:
@@ -230,20 +234,26 @@ def sample_torsion_x(
     raise SamplingExhaustedError(f"no point of order {ell}^{k}")
 
 
+def secret_isogeny(
+    params: SidhParams, side: str, sk: int, coeff: ProjCoeff, triple, push=(), fault_at: Optional[int] = None
+) -> tuple[ProjCoeff, list, ChainTrace]:
+    """The side's chain from coeff with kernel x(P + [sk]Q), triple = (x(P), x(Q),
+    x(P - Q)), on the side's strategy: strategy_eval3's result for Bob (push and
+    fault_at as there), strategy_eval4's for Alice, who has no fault."""
+    check_sk(params, side, sk)
+    kernel = ladder3pt(sk, *triple, coeff)
+    if side == BOB:
+        return strategy_eval3(kernel, coeff, params.strategy3, push, fault_at)
+    if fault_at is not None:
+        raise ValueError("the fault targets the 3-isogeny side only")
+    return strategy_eval4(kernel, coeff, params.strategy4, push)
+
+
 def keygen(params: SidhParams, side: str, sk: int) -> PublicKey:
     """Compute the side's public key: quotient by <P + [sk]Q> and push the
     other side's basis triple through the chain."""
-    _check_sk(params, side, sk)
-    F = params.field
-    coeff = params.coeff0
-    xP, xQ, xD = params.basis_xpoints(side)
-    kernel = ladder3pt(sk, xP, xQ, xD, coeff)
-    other = ALICE if side == BOB else BOB
-    push = list(params.basis_xpoints(other))
-    if side == BOB:
-        _, pushed, trace = strategy_eval3(kernel, coeff, params.strategy3, push)
-    else:
-        _, pushed, trace = strategy_eval4(kernel, coeff, params.strategy4, push)
+    push = params.basis_xpoints(ALICE if side == BOB else BOB)
+    _, pushed, trace = secret_isogeny(params, side, sk, params.coeff0, params.basis_xpoints(side), push)
     trace.require_completed("keygen chain")
     return PublicKey(*(x_affine(pt) for pt in pushed))
 
@@ -258,17 +268,11 @@ def derive_with_trace(
     """The derive chain with its trace; fault_at is strategy_eval3's (Bob only).
 
     Returns (final coefficient, trace); the coefficient is the last one
-    computed even when the trace is degenerate.
-    """
-    _check_sk(params, side, sk)
-    coeff, xP, xQ, xD = chain_inputs(pk, params.field)
-    kernel = ladder3pt(sk, xP, xQ, xD, coeff)
-    if side == BOB:
-        final, _, trace = strategy_eval3(kernel, coeff, params.strategy3, (), fault_at)
-    else:
-        if fault_at is not None:
-            raise ValueError("the fault targets the 3-isogeny side only")
-        final, _, trace = strategy_eval4(kernel, coeff, params.strategy4, ())
+    computed even when the trace is degenerate.  A bad side or sk raises
+    before the pk is read."""
+    check_sk(params, side, sk)
+    coeff, *triple = chain_inputs(pk, params.field)
+    final, _, trace = secret_isogeny(params, side, sk, coeff, triple, (), fault_at)
     return final, trace
 
 
@@ -284,7 +288,8 @@ def derive(params: SidhParams, side: str, sk: int, pk: PublicKey) -> Fp2:
     return j_invariant(affine_a_from_projective(final), params.field)
 
 
-def _check_sk(params: SidhParams, side: str, sk: int) -> None:
+def check_sk(params: SidhParams, side: str, sk: int) -> None:
+    """A plain ValueError unless side is alice or bob and 0 <= sk < l^e."""
     if side not in (ALICE, BOB):
         raise ValueError(f"unknown side {side!r}")
     if not 0 <= sk < params.order_of(side):
@@ -358,15 +363,12 @@ def param_gen(
     params = SidhParams(
         name=name or f"p{fp.p.bit_length()}",
         field_params=fp,
-        field=F,
         xPA=PA.x,
         xQA=QA.x,
         xDA=DA.x,
         xPB=PB.x,
         xQB=QB.x,
         xDB=DB.x,
-        strategy3=balanced_strategy(e3),
-        strategy4=balanced_strategy(e2 // 2),
     )
     params.validate()
     return params
@@ -405,10 +407,7 @@ def loads_params(text: str) -> SidhParams:
     params = SidhParams(
         name=kv.get("name", "unnamed"),
         field_params=fp,
-        field=F,
         **{key: F.decode(kv[key]) for key in PARAM_KEYS},
-        strategy3=balanced_strategy(fp.e3),
-        strategy4=balanced_strategy(fp.e2 // 2),
     )
     params.validate()
     return params

@@ -40,6 +40,30 @@ class TestParamsGen:
 
 
 class TestAttackCommand:
+    def test_pool_no_larger_than_trials(self, runner, monkeypatch):
+        """--jobs above --trials starts one worker per trial."""
+        import sidhlab.cli as cli
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", SerialPool)
+        res = runner.invoke(main, ["attack", "--params", "toy431", "--trials", "2", "--jobs", "8"])
+        assert res.exit_code == 0, res.output
+        assert sizes == [2]
+
     def test_zero_trials(self, runner, tmp_path):
         out = tmp_path / "r.jsonl"
         res = runner.invoke(
@@ -309,6 +333,11 @@ class TestUntrustedInput:
         res = runner.invoke(main, ["countermeasure", "bench", "--params", "toy431", "--k", k, "--trials", "1"])
         _usage_error(res, "--k")
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_bench_trials_below_one(self, runner, trials):
+        res = runner.invoke(main, ["countermeasure", "bench", "--params", "toy431", "--k", "1", "--trials", trials])
+        _usage_error(res, "--trials")
+
 
 class TestStandingGuards:
     """Outputs that must stay byte for byte what they are: a change that
@@ -321,18 +350,36 @@ class TestStandingGuards:
         digest = hashlib.sha256(res.stdout.encode()).hexdigest()
         assert digest == "60c59504f5c8b944b19bd735106229083ef387cf20cd0a608311e0cced78d227"
 
-    def test_toy431_countermeasure_bench(self, runner):
-        args = ["countermeasure", "bench", "--params", "toy431", "--k", "2", "--trials", "20", "--seed", "0"]
+    @staticmethod
+    def _bench(runner, k):
+        """The toy431 bench output at masking degree k, 20 trials, seed 0,
+        without its ratio of CPU times."""
+        args = ["countermeasure", "bench", "--params", "toy431", "--k", str(k), "--trials", "20", "--seed", "0"]
         res = runner.invoke(main, args)
         assert res.exit_code == 0, res.output
         data = json.loads(res.stdout)
-        del data["overhead_ratio"]  # a ratio of CPU times
-        assert data == {
+        del data["overhead_ratio"]
+        return data
+
+    def test_toy431_countermeasure_bench(self, runner):
+        assert self._bench(runner, 2) == {
             "derive_mismatches": 0,
             "forged_oracle_hits": 4,
             "forged_oracle_success_rate": 0.5,
             "forged_oracle_total": 8,
             "k": 2,
+            "param_set": "toy431",
+            "trials": 20,
+        }
+
+    @pytest.mark.parametrize("k, hits, total", [(1, 11, 11), (4, 6, 12)])
+    def test_toy431_countermeasure_bench_at_other_degrees(self, runner, k, hits, total):
+        assert self._bench(runner, k) == {
+            "derive_mismatches": 0,
+            "forged_oracle_hits": hits,
+            "forged_oracle_success_rate": hits / total,
+            "forged_oracle_total": total,
+            "k": k,
             "param_set": "toy431",
             "trials": 20,
         }

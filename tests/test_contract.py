@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sidhlab import SidhlabInputError
-from sidhlab.countermeasure import PushforwardConfig
+from sidhlab.countermeasure import PushforwardConfig, derive_bob_randomized
 from sidhlab.faultsim import oracle, oracle_randomized
 from sidhlab.field import FieldParams
 from sidhlab.protocol import (
     ALICE,
     BOB,
+    PublicKey,
     dumps_params,
     dumps_public_key,
     keygen,
@@ -129,6 +130,17 @@ class TestOraclesAnswerEveryKey:
         check()
 
     def test_out_of_range_sk_stays_a_caller_error(self, toy):
-        with pytest.raises(ValueError) as info:
-            oracle(toy, 3**toy.e3, setting("toy431")[2], 0)
-        assert not isinstance(info.value, SidhlabInputError)
+        """In both oracles and in the masked derive, checked before the pk is
+        read: a malformed pk does not hide it."""
+        F = toy.field
+        cfg, rng = PushforwardConfig(2), random.Random(0)
+        for pk in (setting("toy431")[2], PublicKey(F.zero, F.zero, F.zero)):
+            for sk in (3**toy.e3, 5 + 3**toy.e3, -1):
+                for call in (
+                    lambda: oracle(toy, sk, pk, 0),
+                    lambda: oracle_randomized(toy, sk, pk, 0, cfg, rng),
+                    lambda: derive_bob_randomized(toy, sk, pk, cfg, rng),
+                ):
+                    with pytest.raises(ValueError, match="private scalar out of range") as info:
+                        call()
+                    assert not isinstance(info.value, SidhlabInputError)

@@ -10,6 +10,7 @@ from sidhlab.countermeasure import (
     derive_bob_randomized,
 )
 from sidhlab.faultsim import oracle_randomized
+from sidhlab.field import SidhlabInputError
 from sidhlab.isogeny import DegenerateChainError, StrategyError, strategy_eval2, xeval2_int, xisog2_int
 from sidhlab.montgomery import (
     MontgomeryCurve,
@@ -108,9 +109,19 @@ class TestRandomizedPushforward:
         ) == derive(toy, BOB, 5, pka)
 
     def test_k_out_of_range(self, toy, rng):
+        """The masked derive and the masked oracle share one check, a plain
+        ValueError, at k = e2 + 1 and at k = -1."""
         pka = keygen(toy, ALICE, 3)
-        with pytest.raises(ValueError):
-            derive_bob_randomized(toy, 5, pka, PushforwardConfig(toy.e2 + 1), rng)
+        forged = forge_public_keys(prefix_walk(toy, 2, 1), rng)
+        for k in (toy.e2 + 1, -1):
+            cfg = PushforwardConfig(k)
+            for call in (
+                lambda: derive_bob_randomized(toy, 5, pka, cfg, rng),
+                lambda: oracle_randomized(toy, 5, forged.pk, 1, cfg, rng),
+            ):
+                with pytest.raises(ValueError, match="outside") as info:
+                    call()
+                assert not isinstance(info.value, SidhlabInputError)
 
     def test_p434_round_trip(self, p434, rng):
         ska = p434.sample_sk(ALICE, rng)

@@ -9,7 +9,6 @@ from sidhlab.isogeny import (
     balanced_strategy,
     strategy_eval3,
     strategy_eval4,
-    validate_strategy,
     xeval3,
     xeval4,
     xisog3,
@@ -29,7 +28,7 @@ from sidhlab.montgomery import (
     zero_imaginary_parts,
 )
 
-from helpers import xpoint
+from helpers import schedule, xpoint
 from velu_oracle import fit_linear, j_short_weierstrass, velu_isogeny
 
 
@@ -285,14 +284,14 @@ class TestStrategies:
 
     @pytest.mark.parametrize("n", [3, 5, 21, 108, 137])
     def test_validity(self, n):
-        assert validate_strategy(balanced_strategy(n), n)
+        assert len(schedule(balanced_strategy(n), n)) == n
 
     def test_rejects_bad_strategies(self):
-        assert not validate_strategy([1], 3)  # wrong length
-        assert not validate_strategy([0, 1], 3)  # non-positive entry
-        assert not validate_strategy([2, 2], 3)  # overshoots a leaf
-        assert validate_strategy([2, 1], 3)
-        assert validate_strategy([1, 1], 3)
+        for bad in ([1], [0, 1], [2, 2]):  # wrong length, non-positive entry, overshoots a leaf
+            with pytest.raises(StrategyError):
+                schedule(bad, 3)
+        schedule([2, 1], 3)
+        schedule([1, 1], 3)
 
     @pytest.mark.parametrize("bad", [[0, 1], [-1, 1], [2, 2], [1, 3]])
     def test_evaluators_reject_bad_strategies(self, toy, bad):

@@ -255,6 +255,7 @@ class TestVictimUnawareness:
             proto.derive,
             proto.derive_with_trace,
             proto.chain_inputs,
+            proto.secret_isogeny,
             iso.strategy_eval3,
             iso.strategy_eval4,
             iso._walk,
