@@ -60,19 +60,16 @@ class OracleContradictionError(RuntimeError):
 
 @dataclass
 class ForgedKeys:
-    """The two oracle instances for one trit, plus candidate bookkeeping.
+    """The two oracle instances for one trit, plus the candidates' preimages.
 
     preimages[t] is x(P' + [sk + t*3^i]Q') on pk's curve E_i, where
-    (P', Q') is the basis pk describes.  candidates[t] (filled by
-    candidate_kernels) is the x-point of the victim's (i+1)-th kernel if the
-    trit is t and pk was sent; the second instance shifts the mapping to
-    candidates[(t + 1) % 3].
+    (P', Q') is the basis pk describes; candidate_kernels maps them to the
+    victim's possible (i+1)-th kernels.
     """
 
     pk: PublicKey
     pk_second: PublicKey
     preimages: tuple
-    candidates: Optional[tuple] = None
 
 
 @dataclass
@@ -165,11 +162,7 @@ def prefix_walk(params: SidhParams, sk_prefix: int, i: int) -> PrefixWalk:
     return walk
 
 
-def forge_public_keys(
-    walk: PrefixWalk,
-    rng: random.Random,
-    negate_phi_q: bool = False,
-) -> ForgedKeys:
+def forge_public_keys(walk: PrefixWalk, rng: random.Random) -> ForgedKeys:
     """Build the two adaptive instances for trit i = walk.i given a correct
     prefix sk = walk.sk, with the candidate preimages on their curve.
 
@@ -184,9 +177,6 @@ def forge_public_keys(
     with trit 0 ends at phiQ - [3^i]T.  The preimages
     P' + [sk + t*3^i]Q' = phiQ - [t*3^i]T are phiQ, that point and one more
     addition of -[3^i]T.
-
-    negate_phi_q flips the recovered sign of phi(Q); it exists to exercise
-    the sign-robustness property and must not change any verdict.
     """
     params, sk_prefix, i = walk.params, walk.sk, walk.i
     F = params.field
@@ -202,8 +192,6 @@ def forge_public_keys(
     x_t = x_affine(sample_torsion_x(params, E_i, 3, params.e3, rng, avoid=x_affine(walk.q3)))
 
     phi_q = E_i.lift_x(x_affine(walk.q))
-    if negate_phi_q:
-        phi_q = E_i.negate(phi_q)
     t_full = E_i.lift_x(x_t)
     x_sum = xpoint_from_affine(E_i.add(phi_q, t_full).x, F)  # x(phiQ + T)
     x_dif = xpoint_from_affine(E_i.sub(phi_q, t_full).x, F)  # x(phiQ - T)
@@ -224,8 +212,8 @@ def forge_public_keys(
 
 def candidate_kernels(walk: PrefixWalk, forged: ForgedKeys) -> tuple:
     """The three possible (i+1)-th kernels of the victim, as x-points on the
-    A = 6 curve, labeled by trit: candidates[t] = the victim's kernel when
-    s_i = t and forged.pk was sent.
+    A = 6 curve, labeled by trit: entry t is the victim's kernel when
+    s_i = t and forged.pk was sent, entry (t + 1) % 3 when forged.pk_second was.
 
     The victim's first i steps on forged.pk have kernel [3^(e3-i)]phi(Q),
     so they are the walk's dual steps: the preimages
@@ -238,8 +226,7 @@ def candidate_kernels(walk: PrefixWalk, forged: ForgedKeys) -> tuple:
         pts = [xeval3(pt, dual) for pt in pts]
     coeff = params.coeff0
     down = params.e3 - 1 - walk.i
-    forged.candidates = tuple(xtpl_e(pt, coeff, down) for pt in pts)
-    return forged.candidates
+    return tuple(xtpl_e(pt, coeff, down) for pt in pts)
 
 
 def infer_trit(

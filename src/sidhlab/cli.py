@@ -161,7 +161,7 @@ _PARAMS_CACHE: dict = {}
 
 @main.command("attack")
 @click.option("--params", "params_arg", type=str, required=True, help="bundled name or file path")
-@click.option("--trials", type=int, required=True)
+@click.option("--trials", type=click.IntRange(min=0), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--json", "json_out", type=click.Path(dir_okay=False), default=None)
 @click.option("--csv", "csv_out", type=click.Path(dir_okay=False), default=None)
@@ -177,7 +177,7 @@ def attack_cmd(params_arg, trials, seed, json_out, csv_out, jobs, stable_duratio
     tasks = [(params_arg, seed + idx) for idx in range(trials)]
     if jobs > 1 and trials > 1:
         with multiprocessing.Pool(min(jobs, trials)) as pool:
-            reports = list(pool.imap_unordered(_run_trial, tasks))
+            reports = list(pool.imap(_run_trial, tasks))
     else:
         reports = [_run_trial(t) for t in tasks]
     if stable_durations:
@@ -222,10 +222,12 @@ def countermeasure():
 def countermeasure_bench(params_arg, k, trials, seed, json_out):
     """Measure randomized-pushforward overhead and attack degradation."""
     ps = _load(params_arg)
-    if not 0 <= k <= ps.e2:
-        raise click.UsageError(f"--k {k} outside [0, e2 = {ps.e2}]")
-    rng = random.Random(seed)
     cfg = cm.PushforwardConfig(k)
+    try:
+        cm.masking_degree(ps, cfg)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--k'")
+    rng = random.Random(seed)
 
     t_honest = t_masked = 0.0
     mismatches = 0

@@ -15,7 +15,6 @@ doubling-friendly (A + 2C : 4C) pair is derived on demand as
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,7 +71,7 @@ class XPoint:
     def is_degenerate(self) -> bool:
         return self.Z.is_zero() and self.X.is_zero()
 
-    def __eq__(self, other):  # exact component equality; use xpoint_eq for projective
+    def __eq__(self, other):  # exact component equality, not projective
         if not isinstance(other, XPoint):
             return NotImplemented
         return self.X == other.X and self.Z == other.Z
@@ -343,13 +342,6 @@ def xtpl_e(P: XPoint, coeff: ProjCoeff, e: int) -> XPoint:
     return _result(xtpl_e_int(t, coeff_ints(coeff), e, P.X.p), P, t)
 
 
-def exact_order_multiple(P: XPoint, coeff: ProjCoeff, ell: int, e: int) -> Optional[XPoint]:
-    """[ell^(e-1)]P when x(P) has exact order ell^e (ell = 2 or 3), else None."""
-    t = point_ints(P)
-    below = exact_order_multiple_int(t, coeff_ints(coeff), ell, e, P.X.p)
-    return None if below is None else _result(below, P, t)
-
-
 def ladder3pt(k: int, xP: XPoint, xQ: XPoint, xPQ: XPoint, coeff: ProjCoeff) -> XPoint:
     """x(P + [k]Q) from x(P), x(Q), x(P - Q); LSB-first three-point ladder."""
     if k < 0:
@@ -376,11 +368,6 @@ def x_affine(P: XPoint) -> Fp2:
     if P.Z.is_zero():
         raise ZeroDivisionError("point at infinity has no affine x")
     return P.X * P.Z.inv()
-
-
-def xpoint_eq(P: XPoint, Q: XPoint) -> bool:
-    """Projective equality X_P * Z_Q = X_Q * Z_P (infinity-aware)."""
-    return (P.X * Q.Z) == (Q.X * P.Z)
 
 
 # --------------------------------------------------------------------------
@@ -452,40 +439,3 @@ class MontgomeryCurve:
             k >>= 1
         return R
 
-
-def sample_point_of_order(
-    curve: MontgomeryCurve,
-    d: int,
-    rng: random.Random,
-) -> FullPoint:
-    """A uniform-ish point of exact order d on the curve (not its twist).
-
-    d must be a power of 2 or 3 dividing p + 1; cofactor-cleared random
-    points are rejected until [d/l]P != infinity.
-    """
-    if d == 1:
-        return FullPoint.at_infinity()
-    ell = 2 if d % 2 == 0 else 3
-    e = 0
-    m = d
-    while m % ell == 0:
-        m //= ell
-        e += 1
-    if m != 1:
-        raise ValueError("order must be a power of 2 or 3")
-    p = curve.field.p
-    if (p + 1) % d != 0:
-        raise ValueError("order does not divide p + 1")
-    cofactor = (p + 1) // d
-    for _ in range(1000):
-        x = curve.field.random_element(rng)
-        rhs = curve.rhs(x)
-        if not curve.field.is_square(rhs):
-            continue  # on the twist
-        P = FullPoint(x, curve.field.sqrt(rhs))
-        Q = curve.scalar_mul(cofactor, P)
-        if Q.infinity:
-            continue
-        if not curve.scalar_mul(d // ell, Q).infinity:
-            return Q
-    raise SamplingExhaustedError(f"no point of order {d} after 1000 tries")

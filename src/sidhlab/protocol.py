@@ -36,14 +36,15 @@ from .montgomery import (
     XPoint,
     affine_a_from_projective,
     coeff_from_a,
-    exact_order_multiple,
+    coeff_ints,
+    exact_order_multiple_int,
     j_invariant,
     ladder3pt,
-    sample_point_of_order,
     x_affine,
     xdbl,
     xdbl_e,
     xpoint_from_affine,
+    xpoint_from_ints,
     xtpl,
     xtpl_e,
 )
@@ -100,10 +101,6 @@ class SidhParams:
         return self.field_params.e3
 
     @property
-    def curve(self) -> MontgomeryCurve:
-        return MontgomeryCurve(self.field(6), self.field)
-
-    @property
     def coeff0(self) -> ProjCoeff:
         return coeff_from_a(self.field(6), self.field)
 
@@ -129,10 +126,10 @@ class SidhParams:
         return tuple(xpoint_from_affine(x, F) for x in xs)
 
     def validate(self) -> None:
-        F = self.field
+        F, p = self.field, self.field_params.p
         if self.e2 % 2 != 0:
             raise SidhlabInputError("e2 must be even (4-isogeny chains only)")
-        coeff = self.coeff0
+        C = coeff_ints(self.coeff0)
         tops = []  # x([l^(e-1)]P) of each basis point
         for label, x, ell, e in (
             ("x(PA)", self.xPA, 2, self.e2),
@@ -140,10 +137,10 @@ class SidhParams:
             ("x(PB)", self.xPB, 3, self.e3),
             ("x(QB)", self.xQB, 3, self.e3),
         ):
-            top = exact_order_multiple(xpoint_from_affine(x, F), coeff, ell, e)
+            top = exact_order_multiple_int((x.re, x.im, 1, 0), C, ell, e, p)
             if top is None:
                 raise SidhlabInputError(f"{label} does not have exact order {ell}^{e}")
-            tops.append(x_affine(top))
+            tops.append(x_affine(xpoint_from_ints(top, p)))
         pa2, qa2, pb3, qb3 = tops
         if pa2 == qa2:
             raise SidhlabInputError("Alice basis is dependent")
@@ -157,24 +154,14 @@ class SidhParams:
             raise SidhlabInputError("x(PB), x(QB) must lie in GF(p)")
         if self.xDB.im == 0:
             raise SidhlabInputError("x(PB - QB) must not lie in GF(p)")
-        for (xP, xQ, xD, label) in (
-            (self.xPA, self.xQA, self.xDA, "Alice"),
-            (self.xPB, self.xQB, self.xDB, "Bob"),
+        # The basis x-coordinates are nonzero and distinct by now, so each
+        # triple sits on A = 6 exactly when get_a recovers 6 from it.
+        for label, triple in (
+            ("Alice", (self.xPA, self.xQA, self.xDA)),
+            ("Bob", (self.xPB, self.xQB, self.xDB)),
         ):
-            if not _difference_consistent(xP, xQ, xD, F(6), F):
+            if get_a(PublicKey(*triple), F) != F(6):
                 raise SidhlabInputError(f"{label} difference x-coordinate is inconsistent")
-
-
-def _difference_consistent(xP: Fp2, xQ: Fp2, xD: Fp2, A: Fp2, F: Fp2Field) -> bool:
-    """xD must be a root of X^2 - S X + T = 0 where S and T are the known
-    sum/product of x(P+Q) and x(P-Q) on the curve A."""
-    if xP == xQ:
-        return False
-    d2 = (xP - xQ).sqr()
-    prod = (xP * xQ - F.one).sqr()
-    s_num = (xP + xQ) * (xP * xQ + F.one) + (A + A) * xP * xQ
-    # X^2 - (2 s_num / d2) X + prod / d2 = 0, cleared of denominators:
-    return (xD.sqr() * d2 - (s_num + s_num) * xD + prod).is_zero()
 
 
 def get_a(pk: PublicKey, field: Fp2Field) -> Fp2:
@@ -318,10 +305,25 @@ def param_gen(
     E = MontgomeryCurve(F(6), F)
     p = fp.p
 
-    def sample_alice(want_zero_below: bool):
+    def basis_point(d: int, draw) -> tuple[FullPoint, FullPoint]:
+        """(P, [d/l]P) for a point P of exact order d = l^e, cleared from
+        (x, sqrt(rhs)) with x = draw() on E, not its twist.  A GF(p) draw
+        is never on the twist, and rhs = 0 gives a 2-torsion point that
+        clearing to order 3^e3 sends to infinity."""
         for _ in range(1000):
-            P = sample_point_of_order(E, 1 << e2, rng)
-            below = E.scalar_mul(1 << (e2 - 1), P)
+            x = draw()
+            rhs = E.rhs(x)
+            if not F.is_square(rhs):
+                continue
+            P = E.scalar_mul((p + 1) // d, FullPoint(x, F.sqrt(rhs)))
+            below = E.scalar_mul(d // (2 if d % 2 == 0 else 3), P)
+            if not below.infinity:
+                return P, below
+        raise SamplingExhaustedError(f"no point of order {d}")
+
+    def sample_alice(want_zero_below: bool) -> FullPoint:
+        for _ in range(1000):
+            P, below = basis_point(1 << e2, lambda: F.random_element(rng))
             if below.x.is_zero() == want_zero_below:
                 return P
         raise SamplingExhaustedError("no suitable 2-power basis point")
@@ -330,29 +332,11 @@ def param_gen(
     PA = sample_alice(False)
     DA = E.sub(PA, QA)
 
-    def sample_bob_fp_x():
-        """Exact order 3^e3 with x in GF(p); every GF(p) value lifts to E
-        because its rhs has square norm, and the whole multiple tower then
-        stays at GF(p) x-coordinates."""
-        d = 3**e3
-        for _ in range(1000):
-            x = F(rng.randrange(p))
-            rhs = E.rhs(x)
-            if rhs.is_zero():
-                continue
-            P = FullPoint(x, F.sqrt(rhs))
-            Q = E.scalar_mul((p + 1) // d, P)
-            if Q.infinity:
-                continue
-            if not E.scalar_mul(d // 3, Q).infinity:
-                return Q
-        raise SamplingExhaustedError("no suitable 3-power basis point")
-
-    d3 = 3 ** (e3 - 1)
+    # x(P_B), x(Q_B) in GF(p): the whole multiple tower stays there too
     for _ in range(1000):
-        PB = sample_bob_fp_x()
-        QB = sample_bob_fp_x()
-        if E.scalar_mul(d3, PB).x == E.scalar_mul(d3, QB).x:
+        PB, pb3 = basis_point(3**e3, lambda: F(rng.randrange(p)))
+        QB, qb3 = basis_point(3**e3, lambda: F(rng.randrange(p)))
+        if pb3.x == qb3.x:
             continue
         DB = E.sub(PB, QB)
         if DB.x.im != 0:

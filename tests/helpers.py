@@ -1,10 +1,12 @@
 """Test-only helpers: views of the parameters, curves and responders that the
-program itself never needs, and earlier recipes kept as references: for
-sidhlab.attack, the forged pair from a fresh ladder and strategy walk from
-E_0 per call, and the candidate kernels from three binary ladders over the
-pushed-back forged triple; for the int kernels and the chain walker, the
-x-only formulas on Fp2 objects, a walker that checks every kernel, and the
-2^k masking walk as it stood before it ran on the chain walker.
+program itself never needs, an independent full-point torsion sampler, and
+earlier recipes kept as references: for sidhlab.attack, the forged pair from
+a fresh ladder and strategy walk from E_0 per call, and the candidate
+kernels from three binary ladders over the pushed-back forged triple; for
+get_a, the sum/product relation for x(P +- Q); for the int kernels and the
+chain walker, the x-only formulas on Fp2 objects, a walker that checks every
+kernel, and the 2^k masking walk as it stood before it ran on the chain
+walker.
 """
 
 import functools
@@ -26,6 +28,7 @@ from sidhlab.montgomery import (
     FullPoint,
     MontgomeryCurve,
     ProjCoeff,
+    SamplingExhaustedError,
     XPoint,
     affine_a_from_projective,
     coeff_from_a,
@@ -51,6 +54,56 @@ def public_basis(params, side):
     if side == ALICE:
         return PublicKey(params.xPA, params.xQA, params.xDA)
     return PublicKey(params.xPB, params.xQB, params.xDB)
+
+
+def start_curve(params):
+    """The starting curve A = 6 of a parameter set, with the affine group law."""
+    return MontgomeryCurve(params.field(6), params.field)
+
+
+def xpoint_eq(P: XPoint, Q: XPoint) -> bool:
+    """Projective equality X_P * Z_Q = X_Q * Z_P (infinity-aware)."""
+    return (P.X * Q.Z) == (Q.X * P.Z)
+
+
+def difference_consistent(xP, xQ, xD, A, F) -> bool:
+    """xD must be a root of X^2 - S X + T = 0 where S and T are the known
+    sum/product of x(P+Q) and x(P-Q) on the curve A."""
+    if xP == xQ:
+        return False
+    d2 = (xP - xQ).sqr()
+    prod = (xP * xQ - F.one).sqr()
+    s_num = (xP + xQ) * (xP * xQ + F.one) + (A + A) * xP * xQ
+    # X^2 - (2 s_num / d2) X + prod / d2 = 0, cleared of denominators:
+    return (xD.sqr() * d2 - (s_num + s_num) * xD + prod).is_zero()
+
+
+def sample_point_of_order(curve: MontgomeryCurve, d: int, rng: random.Random) -> FullPoint:
+    """A uniform-ish point of exact order d on the curve (not its twist).
+
+    d must be a power of 2 or 3 dividing p + 1; cofactor-cleared random
+    points are rejected until [d/l]P != infinity.
+    """
+    if d == 1:
+        return FullPoint.at_infinity()
+    ell = 2 if d % 2 == 0 else 3
+    m = d
+    while m % ell == 0:
+        m //= ell
+    if m != 1:
+        raise ValueError("order must be a power of 2 or 3")
+    p = curve.field.p
+    if (p + 1) % d != 0:
+        raise ValueError("order does not divide p + 1")
+    for _ in range(1000):
+        x = curve.field.random_element(rng)
+        rhs = curve.rhs(x)
+        if not curve.field.is_square(rhs):
+            continue  # on the twist
+        Q = curve.scalar_mul((p + 1) // d, FullPoint(x, curve.field.sqrt(rhs)))
+        if not Q.infinity and not curve.scalar_mul(d // ell, Q).infinity:
+            return Q
+    raise SamplingExhaustedError(f"no point of order {d} after 1000 tries")
 
 
 def xpoint_infinity(field):
@@ -138,10 +191,12 @@ def debug_assert_forced_curve(params, sk_prefix, pk, i) -> bool:
     return trace.completed and affine_a_from_projective(final) == params.field(6)
 
 
-def reference_forge(params, sk_prefix: int, i: int, rng: random.Random) -> tuple:
+def reference_forge(params, sk_prefix: int, i: int, rng: random.Random, negate_phi_q=False) -> tuple:
     """The forged pair (pk, pk_second) for trit i >= 1 built from a fresh
     i-step walk of E_0, a fresh anchor [3^(e3-1)]phi(Q) and four binary
-    ladders; the same random draws as attack.forge_public_keys."""
+    ladders; the same random draws as attack.forge_public_keys.
+    negate_phi_q flips the sign recovered for phi(Q), which must not change
+    any verdict."""
     F = params.field
     basis = params.basis_xpoints(BOB)
     final, pushed, trace = prefix_chain(params, sk_prefix, i, (params.coeff0, *basis), [basis[1]])
@@ -156,6 +211,8 @@ def reference_forge(params, sk_prefix: int, i: int, rng: random.Random) -> tuple
     x_t = x_affine(sample_torsion_x(params, E_i, 3, params.e3, rng, avoid=anchor_x))
 
     phi_q = E_i.lift_x(x_phiq)
+    if negate_phi_q:
+        phi_q = E_i.negate(phi_q)
     t_full = E_i.lift_x(x_t)
     xt_pt = xpoint_from_affine(x_t, F)
     dif_pt = xpoint_from_affine(E_i.sub(phi_q, t_full).x, F)

@@ -30,17 +30,15 @@ from sidhlab.montgomery import (
     coeff_in_fp,
     j_invariant,
     ladder3pt,
-    sample_point_of_order,
     x_affine,
     xdbl,
-    xpoint_eq,
     xpoint_from_affine,
     xpoint_in_fp,
     xtpl,
 )
 from sidhlab.protocol import ALICE, BOB, bundled_params, derive, derive_with_trace, get_a, keygen
 
-from helpers import debug_assert_forced_curve, make_reject_oracle, xpoint
+from helpers import debug_assert_forced_curve, make_reject_oracle, sample_point_of_order, xpoint, xpoint_eq
 from velu_oracle import fit_linear, j_short_weierstrass, velu_isogeny
 
 

@@ -56,13 +56,24 @@ class TestAttackCommand:
             def __exit__(self, *exc):
                 return False
 
-            def imap_unordered(self, fn, tasks):
+            def imap(self, fn, tasks):
                 return map(fn, tasks)
 
         monkeypatch.setattr(cli.multiprocessing, "Pool", SerialPool)
         res = runner.invoke(main, ["attack", "--params", "toy431", "--trials", "2", "--jobs", "8"])
         assert res.exit_code == 0, res.output
         assert sizes == [2]
+
+    def test_jobs_do_not_change_the_report(self, runner):
+        """Workers return their trials in seed order: --jobs 2 prints the
+        --jobs 1 report byte for byte."""
+        args = ["attack", "--params", "toy431", "--trials", "40", "--seed", "0", "--stable-durations"]
+        reports = []
+        for jobs in ("1", "2"):
+            res = runner.invoke(main, args + ["--jobs", jobs])
+            assert res.exit_code == 0, res.output
+            reports.append(res.stdout)
+        assert reports[0] == reports[1]
 
     def test_zero_trials(self, runner, tmp_path):
         out = tmp_path / "r.jsonl"
@@ -282,6 +293,17 @@ class TestUntrustedInput:
         )
         _usage_error(res, "'e3'")
 
+    def test_params_file_with_a_wrong_difference(self, runner, tmp_path):
+        import dataclasses
+
+        from sidhlab.protocol import bundled_params, dumps_params
+
+        toy = bundled_params("toy431")
+        path = tmp_path / "params.txt"
+        path.write_text(dumps_params(dataclasses.replace(toy, xDB=toy.xDB + toy.field.one)))
+        res = runner.invoke(main, ["attack", "--params", str(path), "--trials", "1"])
+        _usage_error(res, "inconsistent")
+
     def test_pk_file_with_an_unknown_side(self, runner, tmp_path):
         # a Bob key relabelled side=carol must not derive as if it were Bob's
         pk = tmp_path / "pk.txt"
@@ -327,6 +349,10 @@ class TestUntrustedInput:
         out = tmp_path / "missing" / "r.jsonl"
         res = runner.invoke(main, ["attack", "--params", "toy431", "--trials", "0", "--json", str(out)])
         _usage_error(res, "cannot write")
+
+    def test_attack_negative_trials(self, runner):
+        res = runner.invoke(main, ["attack", "--params", "toy431", "--trials", "-3"])
+        _usage_error(res, "--trials")
 
     @pytest.mark.parametrize("k", ["8", "-1"])
     def test_bench_masking_degree_outside_0_to_e2(self, runner, k):

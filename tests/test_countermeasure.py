@@ -20,13 +20,12 @@ from sidhlab.montgomery import (
     coeff_ints,
     j_invariant,
     point_ints,
-    sample_point_of_order,
     xpoint_from_affine,
     xpoint_in_fp,
 )
 from sidhlab.protocol import ALICE, BOB, derive, keygen
 
-from helpers import make_reject_oracle, xpoint
+from helpers import make_reject_oracle, sample_point_of_order, xpoint
 from velu_oracle import j_short_weierstrass, velu_isogeny
 
 

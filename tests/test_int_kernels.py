@@ -2,7 +2,7 @@
 2000 random projective points and every corner the chain code meets
 (infinity, (0 : 0), x = 0, points of order 2, 3 and 4, singular and
 undefined coefficients).  Outputs must be exactly the reference's ints,
-which pins xtpl's fixed points and exact_order_multiple's early returns.
+which pins xtpl's fixed points and exact_order_multiple_int's early returns.
 """
 
 import random
@@ -26,11 +26,9 @@ from sidhlab.montgomery import (
     ProjCoeff,
     XPoint,
     coeff_ints,
-    exact_order_multiple,
     exact_order_multiple_int,
     ladder3pt,
     point_ints,
-    sample_point_of_order,
     xadd,
     xadd_int,
     xdbl,
@@ -58,6 +56,8 @@ from helpers import (
     ref_xisog4,
     ref_xtpl,
     ref_xtpl_e,
+    sample_point_of_order,
+    start_curve,
     xpoint,
 )
 
@@ -66,7 +66,7 @@ from helpers import (
 def cases(toy):
     """(points, coefficients): 2000 random (X : Z) plus the corner points,
     and the start curve (scaled), random pairs and the singular ones."""
-    F, E = toy.field, toy.curve
+    F, E = toy.field, start_curve(toy)
     rng = random.Random(8)
     pts = [XPoint(F.random_element(rng), F.random_element(rng)) for _ in range(2000)]
     pts += [XPoint(F.one, F.zero), XPoint(F.zero, F.zero), XPoint(F.zero, F.one), XPoint(F(5, 7), F.zero)]
@@ -133,7 +133,6 @@ def test_exact_order_multiple(toy, cases):
             for ell, e in ((2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 3)):
                 want = ints(ref_exact_order_multiple(P, C, ell, e))
                 assert exact_order_multiple_int(t, c, ell, e, p) == want
-                assert ints(exact_order_multiple(P, C, ell, e)) == want
                 hits += want is not None
     assert hits > 50  # the search finds points of every order it asks for
 

@@ -2,9 +2,7 @@ import random
 
 import pytest
 
-from sidhlab.field import Fp2Field, FieldParams
 from sidhlab.isogeny import (
-    ChainTrace,
     StrategyError,
     balanced_strategy,
     strategy_eval3,
@@ -17,10 +15,8 @@ from sidhlab.isogeny import (
 from sidhlab.montgomery import (
     MontgomeryCurve,
     affine_a_from_projective,
-    coeff_from_a,
     coeff_in_fp,
     j_invariant,
-    sample_point_of_order,
     x_affine,
     xdbl_e,
     xpoint_from_affine,
@@ -28,7 +24,7 @@ from sidhlab.montgomery import (
     zero_imaginary_parts,
 )
 
-from helpers import schedule, xpoint
+from helpers import sample_point_of_order, schedule, start_curve, xpoint
 from velu_oracle import fit_linear, j_short_weierstrass, velu_isogeny
 
 
@@ -154,7 +150,7 @@ class TestStrategyEval:
         """Final j of the strategy walk equals the plain quadratic loop that
         re-triples the running kernel at every step."""
         F = toy.field
-        E = toy.curve
+        E = start_curve(toy)
         coeff = toy.coeff0
         for _ in range(10):
             R = sample_point_of_order(E, 27, rng)
@@ -171,7 +167,7 @@ class TestStrategyEval:
             )
 
     def test_strategy_independence(self, toy, rng):
-        E = toy.curve
+        E = start_curve(toy)
         R = sample_point_of_order(E, 27, rng)
         f1, _, _ = strategy_eval3(xpoint(E, R), toy.coeff0, [1, 1])
         f2, _, _ = strategy_eval3(xpoint(E, R), toy.coeff0, [2, 1])
@@ -181,7 +177,7 @@ class TestStrategyEval:
         )
 
     def test_pushed_points_keep_their_order(self, toy, rng):
-        E = toy.curve
+        E = start_curve(toy)
         R = sample_point_of_order(E, 27, rng)
         PA = sample_point_of_order(E, 16, rng)
         final, pushed, trace = strategy_eval3(
@@ -261,7 +257,7 @@ class TestFaultHook:
     def test_hook_fires_once(self, toy, rng):
         """The fault zeroes row i's coefficient, and only that one: every
         earlier row is the honest run's."""
-        E = toy.curve
+        E = start_curve(toy)
         R = xpoint(E, sample_point_of_order(E, 27, rng))
         _, _, honest = strategy_eval3(R, toy.coeff0, toy.strategy3)
         for i in range(toy.e3 - 1):
@@ -271,7 +267,7 @@ class TestFaultHook:
             assert trace.coeffs[i + 1] == zero_imaginary_parts(honest.coeffs[i + 1])
 
     def test_disarmed_hook_is_inert(self, toy, rng):
-        E = toy.curve
+        E = start_curve(toy)
         R = sample_point_of_order(E, 27, rng)
         final, _, trace = strategy_eval3(xpoint(E, R), toy.coeff0, toy.strategy3, (), None)
         assert trace.completed and trace.fault_fired_at is None

@@ -15,18 +15,16 @@ from sidhlab.montgomery import (
     coeff_in_fp,
     j_invariant,
     ladder3pt,
-    sample_point_of_order,
     x_affine,
     xdbl,
     xdbl_e,
-    xpoint_eq,
     xpoint_from_affine,
     xpoint_in_fp,
     xtpl,
     xtpl_e,
 )
 
-from helpers import on_curve, xpoint, xpoint_infinity
+from helpers import on_curve, sample_point_of_order, xpoint, xpoint_eq, xpoint_infinity
 
 
 @pytest.fixture(scope="module")

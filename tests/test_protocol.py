@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sidhlab.field import FieldParams, Fp2Field
+from sidhlab.field import FieldParams, Fp2Field, SidhlabInputError
 from sidhlab.isogeny import strategy_eval3, strategy_eval4
 from sidhlab.montgomery import (
     MontgomeryCurve,
@@ -33,7 +33,7 @@ from sidhlab.protocol import (
     sample_torsion_x,
 )
 
-from helpers import public_basis
+from helpers import difference_consistent, public_basis, start_curve
 
 
 class TestParams:
@@ -66,6 +66,17 @@ class TestParams:
         broken = dataclasses.replace(toy, xQB=toy.xPB)
         with pytest.raises(ValueError):
             broken.validate()
+
+    @pytest.mark.parametrize("key", ["xDA", "xDB"])
+    def test_wrong_difference_refused(self, toy, key):
+        """A difference x-coordinate moved off its basis, or zero, does not
+        load."""
+        import dataclasses
+
+        F = toy.field
+        for bad in (getattr(toy, key) + F.one, F.zero):
+            with pytest.raises(SidhlabInputError):
+                loads_params(dumps_params(dataclasses.replace(toy, **{key: bad})))
 
     def test_file_roundtrip(self, toy, tmp_path):
         path = tmp_path / "toy.txt"
@@ -176,7 +187,6 @@ class TestGetA:
         F = toy.field
         with pytest.raises(InconsistentPublicKeyError):
             get_a(PublicKey(F.zero, F(3), F(7)), F)
-        from sidhlab.protocol import _difference_consistent
 
         unliftable = 0
         for _ in range(50):
@@ -187,7 +197,7 @@ class TestGetA:
                 A = get_a(bad, F)
             except InconsistentPublicKeyError:
                 continue
-            assert _difference_consistent(bad.xP, bad.xQ, bad.xPQ, A, F)
+            assert difference_consistent(bad.xP, bad.xQ, bad.xPQ, A, F)
             try:
                 E = MontgomeryCurve(A, F)
             except ValueError:
@@ -230,7 +240,7 @@ class TestTorsionSampler:
             result, tries = self._tries(monkeypatch, toy, bad, ell, k)
             assert isinstance(result, SamplingExhaustedError)
             assert tries == 1, (ell, k)
-            result, tries = self._tries(monkeypatch, toy, toy.curve, ell, k)
+            result, tries = self._tries(monkeypatch, toy, start_curve(toy), ell, k)
             assert not isinstance(result, SamplingExhaustedError)
             assert tries >= 1
 
