@@ -115,7 +115,7 @@ def params_gen(e2: int, e3: int, seed: int, out: str, name: Optional[str]):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     _write(out, dumps_params(ps))
-    click.echo(f"p = {ps.field_params.p:x}")
+    click.echo(f"p = {ps.field.p:x}")
     click.echo(f"wrote {out}")
 
 
@@ -165,7 +165,7 @@ _PARAMS_CACHE: dict = {}
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--json", "json_out", type=click.Path(dir_okay=False), default=None)
 @click.option("--csv", "csv_out", type=click.Path(dir_okay=False), default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option(
     "--stable-durations",
     is_flag=True,

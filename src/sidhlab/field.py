@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 _mpz = int  # read by perfbench/run.py for the backend line of its reports
 
@@ -89,32 +88,6 @@ def _strong_lucas_probable_prime(n: int) -> bool:
             return True
         V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
     return False
-
-
-@dataclass(frozen=True)
-class FieldParams:
-    """Prime shape p = 2^e2 * 3^e3 - 1 with the exponents kept alongside."""
-
-    p: int
-    e2: int
-    e3: int
-
-    @classmethod
-    def from_exponents(cls, e2: int, e3: int) -> "FieldParams":
-        if e2 < 2 or e3 < 1:
-            raise SidhlabInputError("need e2 >= 2 and e3 >= 1")
-        if e3 > MAX_P_BITS or e2 + (3**e3).bit_length() > MAX_P_BITS:  # p's bit length
-            raise SidhlabInputError(f"2^{e2} * 3^{e3} - 1 exceeds {MAX_P_BITS} bits")
-        p = (1 << e2) * 3**e3 - 1
-        if not is_probable_prime(p):
-            raise SidhlabInputError(f"2^{e2} * 3^{e3} - 1 = {p} is not prime")
-        return cls(p=p, e2=e2, e3=e3)
-
-    def __post_init__(self):
-        if self.p != (1 << self.e2) * 3**self.e3 - 1:
-            raise SidhlabInputError("p does not match 2^e2 * 3^e3 - 1")
-        if self.p % 4 != 3:
-            raise SidhlabInputError("p = 3 (mod 4) required")
 
 
 class Fp2:
@@ -198,17 +171,31 @@ class Fp2:
 
 
 class Fp2Field:
-    """GF(p^2) context: element construction, square roots, serialization."""
+    """GF(p^2) for p = 2^e2 * 3^e3 - 1, built from the exponents alone and
+    refused unless p is prime; e2 >= 2 makes p = 3 (mod 4), which _sqrt_fp
+    relies on.  Element construction, square roots, serialization."""
 
-    def __init__(self, params: FieldParams):
-        self.params = params
-        self.p = params.p
-        self.zero = Fp2(0, 0, self.p)
-        self.one = Fp2(1, 0, self.p)
-        self._nbytes = (params.p.bit_length() + 7) // 8
+    def __init__(self, e2: int, e3: int):
+        if e2 < 2 or e3 < 1:
+            raise SidhlabInputError("need e2 >= 2 and e3 >= 1")
+        if e3 > MAX_P_BITS or e2 + (3**e3).bit_length() > MAX_P_BITS:  # p's bit length
+            raise SidhlabInputError(f"2^{e2} * 3^{e3} - 1 exceeds {MAX_P_BITS} bits")
+        p = (1 << e2) * 3**e3 - 1
+        if not is_probable_prime(p):
+            raise SidhlabInputError(f"2^{e2} * 3^{e3} - 1 = {p} is not prime")
+        self.p, self.e2, self.e3 = p, e2, e3
+        self.zero = Fp2(0, 0, p)
+        self.one = Fp2(1, 0, p)
+        self._nbytes = (p.bit_length() + 7) // 8
 
     def __call__(self, re, im=0) -> Fp2:
         return Fp2(re, im, self.p)
+
+    def __eq__(self, other) -> bool:  # p fixes the exponents: one field per p
+        return isinstance(other, Fp2Field) and self.p == other.p
+
+    def __hash__(self):
+        return hash(self.p)
 
     def random_element(self, rng: random.Random) -> Fp2:
         return Fp2._raw(rng.randrange(self.p), rng.randrange(self.p), self.p)

@@ -20,7 +20,7 @@ from functools import cached_property
 from importlib.resources import files
 from typing import Optional
 
-from .field import FieldParams, Fp2, Fp2Field, SidhlabInputError, parse_int
+from .field import Fp2, Fp2Field, SidhlabInputError, parse_int
 from .isogeny import (
     ChainTrace,
     DegenerateChainError,  # noqa: F401  re-exported, the same class as isogeny's
@@ -68,21 +68,17 @@ class PublicKey:
 
 @dataclass
 class SidhParams:
-    """Public parameter set as its file holds it: exponents and both torsion
-    bases on A = 6; the field and the strategies follow from the exponents."""
+    """Public parameter set as its file holds it: the field, which keeps the
+    exponents, and both torsion bases on A = 6."""
 
     name: str
-    field_params: FieldParams
+    field: Fp2Field
     xPA: Fp2
     xQA: Fp2
     xDA: Fp2
     xPB: Fp2
     xQB: Fp2
     xDB: Fp2
-
-    @cached_property
-    def field(self) -> Fp2Field:
-        return Fp2Field(self.field_params)
 
     @cached_property
     def strategy3(self) -> list:
@@ -94,11 +90,11 @@ class SidhParams:
 
     @property
     def e2(self) -> int:
-        return self.field_params.e2
+        return self.field.e2
 
     @property
     def e3(self) -> int:
-        return self.field_params.e3
+        return self.field.e3
 
     @property
     def coeff0(self) -> ProjCoeff:
@@ -126,9 +122,8 @@ class SidhParams:
         return tuple(xpoint_from_affine(x, F) for x in xs)
 
     def validate(self) -> None:
-        F, p = self.field, self.field_params.p
-        if self.e2 % 2 != 0:
-            raise SidhlabInputError("e2 must be even (4-isogeny chains only)")
+        F, p = self.field, self.field.p
+        check_exponents(self.e2, self.e3)
         C = coeff_ints(self.coeff0)
         tops = []  # x([l^(e-1)]P) of each basis point
         for label, x, ell, e in (
@@ -162,6 +157,15 @@ class SidhParams:
         ):
             if get_a(PublicKey(*triple), F) != F(6):
                 raise SidhlabInputError(f"{label} difference x-coordinate is inconsistent")
+
+
+def check_exponents(e2: int, e3: int) -> None:
+    """SidhlabInputError unless e2 is even (4-isogeny chains only) and e3 >= 2
+    (Bob's key range [1, 3^(e3-1) - 1] is empty at e3 = 1)."""
+    if e2 % 2 != 0:
+        raise SidhlabInputError("e2 must be even (4-isogeny chains only)")
+    if e3 < 2:
+        raise SidhlabInputError("e3 must be at least 2 (no Bob private keys at e3 = 1)")
 
 
 def get_a(pk: PublicKey, field: Fp2Field) -> Fp2:
@@ -298,12 +302,10 @@ def param_gen(
 
     Deterministic for a given rng seed.
     """
-    fp = FieldParams.from_exponents(e2, e3)
-    if e2 % 2 != 0:
-        raise SidhlabInputError("e2 must be even")
-    F = Fp2Field(fp)
+    F = Fp2Field(e2, e3)
+    check_exponents(e2, e3)
     E = MontgomeryCurve(F(6), F)
-    p = fp.p
+    p = F.p
 
     def basis_point(d: int, draw) -> tuple[FullPoint, FullPoint]:
         """(P, [d/l]P) for a point P of exact order d = l^e, cleared from
@@ -345,8 +347,8 @@ def param_gen(
         raise SamplingExhaustedError("no independent Bob basis with x(D) outside GF(p)")
 
     params = SidhParams(
-        name=name or f"p{fp.p.bit_length()}",
-        field_params=fp,
+        name=name or f"p{p.bit_length()}",
+        field=F,
         xPA=PA.x,
         xQA=QA.x,
         xDA=DA.x,
@@ -370,7 +372,7 @@ def dumps_params(params: SidhParams) -> str:
         f"name={params.name}",
         f"e2={params.e2}",
         f"e3={params.e3}",
-        f"p={params.field_params.p:x}",
+        f"p={params.field.p:x}",
         "A=" + F.encode(F(6)),
     ]
     for key in PARAM_KEYS:
@@ -382,15 +384,14 @@ def loads_params(text: str) -> SidhParams:
     """Parse and validate a parameter file; SidhlabInputError when it
     cannot be used."""
     kv = _entries(text, ("e2", "e3", "p", "A") + PARAM_KEYS)
-    fp = FieldParams.from_exponents(parse_int(kv["e2"]), parse_int(kv["e3"]))
-    if parse_int(kv["p"], 16) != fp.p:
+    F = Fp2Field(parse_int(kv["e2"]), parse_int(kv["e3"]))
+    if parse_int(kv["p"], 16) != F.p:
         raise SidhlabInputError("parameter file p does not match its exponents")
-    F = Fp2Field(fp)
     if F.decode(kv["A"]) != F(6):
         raise SidhlabInputError("parameter file must use the A = 6 starting curve")
     params = SidhParams(
         name=kv.get("name", "unnamed"),
-        field_params=fp,
+        field=F,
         **{key: F.decode(kv[key]) for key in PARAM_KEYS},
     )
     params.validate()
@@ -401,7 +402,7 @@ def dumps_public_key(params: SidhParams, side: str, pk: PublicKey) -> str:
     """The public-key file: the parameter set it belongs to, the side that
     made it, and the triple."""
     F = params.field
-    lines = [f"params={params.name}", f"p={params.field_params.p:x}", f"side={side}"]
+    lines = [f"params={params.name}", f"p={params.field.p:x}", f"side={side}"]
     lines += [f"{key}={F.encode(getattr(pk, key))}" for key in PK_KEYS]
     return "\n".join(lines) + "\n"
 
@@ -410,7 +411,7 @@ def loads_public_key(text: str, params: SidhParams) -> tuple[str, PublicKey]:
     """(side, public key) from a public-key file made under params;
     SidhlabInputError when it cannot be used."""
     kv = _entries(text, ("p", "side") + PK_KEYS)
-    if parse_int(kv["p"], 16) != params.field_params.p:
+    if parse_int(kv["p"], 16) != params.field.p:
         raise SidhlabInputError("public key was produced under different parameters")
     if kv["side"] not in (ALICE, BOB):
         raise SidhlabInputError(f"unknown side {kv['side']!r}")

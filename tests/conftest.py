@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sidhlab.field import FieldParams, Fp2Field
+from sidhlab.field import Fp2Field
 from sidhlab.protocol import bundled_params, param_gen
 
 
@@ -25,7 +25,7 @@ def mid():
 
 @pytest.fixture(scope="session")
 def F431():
-    return Fp2Field(FieldParams.from_exponents(4, 3))
+    return Fp2Field(4, 3)
 
 
 @pytest.fixture

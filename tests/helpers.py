@@ -6,7 +6,7 @@ kernels from three binary ladders over the pushed-back forged triple; for
 get_a, the sum/product relation for x(P +- Q); for the int kernels and the
 chain walker, the x-only formulas on Fp2 objects, a walker that checks every
 kernel, and the 2^k masking walk as it stood before it ran on the chain
-walker.
+walker; and an e3 = 1 parameter file that nothing may load.
 """
 
 import functools
@@ -139,7 +139,7 @@ def public_keys(name):
     """Random triples, and the honest key with one coordinate replaced,
     moved by one, or projected to GF(p)."""
     ps, _, honest = setting(name)
-    F, p = ps.field, ps.field_params.p
+    F, p = ps.field, ps.field.p
     element = st.builds(F, st.integers(0, p - 1), st.integers(0, p - 1))
 
     def edit(slot, how, x):
@@ -424,3 +424,21 @@ def reference_walk(degree, R, coeff, strategy, push_points=(), fault_at=None, fi
             R = stack.pop()
         pushed = [ev(pt, data) for pt in pushed]
     return coeff, pushed, trace
+
+
+# a parameter set with e3 = 1, as params gen wrote it before such sets were
+# refused: every check but the exponents' passes on it
+P47_TEXT = """\
+# sidhlab parameter set
+name=p6
+e2=4
+e3=1
+p=2f
+A=06,00
+xPA=20,03
+xQA=25,21
+xDA=10,2e
+xPB=19,00
+xQB=29,00
+xDB=0a,01
+"""

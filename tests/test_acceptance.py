@@ -21,7 +21,6 @@ from sidhlab.attack import (
 )
 from sidhlab.countermeasure import PushforwardConfig, derive_bob_randomized
 from sidhlab.faultsim import make_oracle, oracle
-from sidhlab.field import Fp2Field, FieldParams
 from sidhlab.isogeny import xeval3, xeval4, xisog3, xisog4
 from sidhlab.montgomery import (
     MontgomeryCurve,

@@ -230,7 +230,7 @@ def test_singular_starts(name, toy, mid):
     points and points of exact order 3^e3 and 2^e2 in the group of the
     nodal curve (of order p^2 - 1), with and without a fault."""
     params = {"toy431": toy, "mid": mid}[name]
-    F, p = params.field, params.field_params.p
+    F, p = params.field, params.field.p
     rng = random.Random(23)
     completed = 0
     for _ in range(30):

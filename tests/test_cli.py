@@ -7,6 +7,8 @@ from click.testing import CliRunner
 
 from sidhlab.cli import main
 
+from helpers import P47_TEXT
+
 
 @pytest.fixture
 def runner():
@@ -353,6 +355,32 @@ class TestUntrustedInput:
     def test_attack_negative_trials(self, runner):
         res = runner.invoke(main, ["attack", "--params", "toy431", "--trials", "-3"])
         _usage_error(res, "--trials")
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_attack_jobs_below_one(self, runner, jobs):
+        res = runner.invoke(main, ["attack", "--params", "toy431", "--trials", "2", "--jobs", jobs])
+        _usage_error(res, "--jobs")
+
+    def test_params_gen_e3_of_one(self, runner, tmp_path):
+        out = tmp_path / "p47.txt"
+        res = runner.invoke(main, ["params", "gen", "--e2", "4", "--e3", "1", "--seed", "1", "--out", str(out)])
+        _usage_error(res, "e3 must be at least 2")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["attack"], ["countermeasure", "bench", "--k", "1"]])
+    def test_params_file_with_e3_of_one(self, runner, tmp_path, command):
+        path = tmp_path / "p47.txt"
+        path.write_text(P47_TEXT)
+        res = runner.invoke(main, command + ["--params", str(path), "--trials", "2"])
+        _usage_error(res, "e3 must be at least 2")
+
+    def test_params_file_with_a_mismatched_p(self, runner, tmp_path):
+        from sidhlab.protocol import bundled_params, dumps_params
+
+        path = tmp_path / "params.txt"
+        path.write_text(dumps_params(bundled_params("toy431")).replace("p=1af\n", "p=1b1\n"))
+        res = runner.invoke(main, ["attack", "--params", str(path), "--trials", "1"])
+        _usage_error(res, "p does not match its exponents")
 
     @pytest.mark.parametrize("k", ["8", "-1"])
     def test_bench_masking_degree_outside_0_to_e2(self, runner, k):

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sidhlab.field import (
-    FieldParams,
     Fp2,
     Fp2Field,
+    SidhlabInputError,
     _jacobi,
     _strong_lucas_probable_prime,
     is_probable_prime,
 )
+from sidhlab.protocol import dumps_params, loads_params
 
 P = 431
 
@@ -188,19 +189,29 @@ class TestSerialization:
 
 
 class TestFieldParams:
+    """Fp2Field(e2, e3) computes p = 2^e2 * 3^e3 - 1 and refuses exponents
+    that do not give a usable prime."""
+
     def test_from_exponents(self):
-        fp = FieldParams.from_exponents(4, 3)
-        assert fp.p == 431 and fp.p % 4 == 3
+        F = Fp2Field(4, 3)
+        assert (F.p, F.e2, F.e3) == (431, 4, 3) and F.p % 4 == 3
+
+    # 2^1 * 27 - 1 = 53 is prime but 1 (mod 4), where sqrt would be wrong;
+    # e3 = 0 gives the Mersenne numbers, with no 3-torsion at all
+    @pytest.mark.parametrize("e2,e3", [(1, 3), (4, 0)])
+    def test_exponent_floor(self, e2, e3):
+        with pytest.raises(SidhlabInputError, match="e2 >= 2 and e3 >= 1"):
+            Fp2Field(e2, e3)
 
     # 215 = 5 * 43, 35 = 5 * 7, 143 = 11 * 13, and a 434-bit composite
     @pytest.mark.parametrize("e2,e3", [(3, 3), (2, 2), (4, 2), (216, 136)])
     def test_rejects_non_prime(self, e2, e3):
         with pytest.raises(ValueError):
-            FieldParams.from_exponents(e2, e3)
+            Fp2Field(e2, e3)
 
     @pytest.mark.parametrize("e2,e3", [(4, 3), (216, 137)])  # toy431, p434
     def test_accepts_bundled_primes(self, e2, e3):
-        assert is_probable_prime(FieldParams.from_exponents(e2, e3).p)
+        assert is_probable_prime(Fp2Field(e2, e3).p)
 
     def test_prime_check_matches_trial_division(self):
         def trial_division(n):
@@ -222,9 +233,12 @@ class TestFieldParams:
         assert not is_probable_prime(3825123056546413051)  # strong psp to bases 2..23
         # a strong pseudoprime to every base 2..37: only the Lucas half rejects it
         assert not is_probable_prime(318665857834031151167461)
-        p = FieldParams.from_exponents(216, 137).p
+        p = Fp2Field(216, 137).p
         assert not is_probable_prime(p * p)
 
-    def test_rejects_mismatched_p(self):
-        with pytest.raises(ValueError):
-            FieldParams(p=433, e2=4, e3=3)
+    def test_rejects_mismatched_p(self, toy):
+        """A parameter file is the one place a p can disagree with its
+        exponents: toy431's with p = 433 does not load."""
+        text = dumps_params(toy).replace("p=1af\n", "p=1b1\n")
+        with pytest.raises(SidhlabInputError, match="p does not match its exponents"):
+            loads_params(text)

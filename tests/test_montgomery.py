@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from sidhlab.field import Fp2Field, FieldParams
 from sidhlab.montgomery import (
     DegenerateCoefficientError,
     FullPoint,

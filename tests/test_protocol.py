@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sidhlab.field import FieldParams, Fp2Field, SidhlabInputError
+from sidhlab.field import SidhlabInputError
 from sidhlab.isogeny import strategy_eval3, strategy_eval4
 from sidhlab.montgomery import (
     MontgomeryCurve,
@@ -33,7 +33,7 @@ from sidhlab.protocol import (
     sample_torsion_x,
 )
 
-from helpers import difference_consistent, public_basis, start_curve
+from helpers import P47_TEXT, difference_consistent, public_basis, start_curve
 
 
 class TestParams:
@@ -45,7 +45,7 @@ class TestParams:
     def test_p434_invariants(self, p434):
         p434.validate()
         assert p434.e2 == 216 and p434.e3 == 137
-        assert int(p434.field_params.p).bit_length() == 434
+        assert int(p434.field.p).bit_length() == 434
 
     def test_param_gen_deterministic(self):
         a = param_gen(4, 3, random.Random(7))
@@ -59,6 +59,16 @@ class TestParams:
     def test_param_gen_rejects_odd_e2(self):
         with pytest.raises(ValueError):
             param_gen(5, 2, random.Random(0))  # 2^5 * 9 - 1 = 287 = 7*41 anyway
+
+    def test_param_gen_rejects_e3_of_one(self):
+        # 2^4 * 3 - 1 = 47 is prime, but Bob's key range [1, 3^0 - 1] is empty
+        with pytest.raises(SidhlabInputError, match="e3 must be at least 2"):
+            param_gen(4, 1, random.Random(1))
+
+    def test_e3_of_one_file_refused(self):
+        """The p = 47 set that params gen --e2 4 --e3 1 --seed 1 used to write."""
+        with pytest.raises(SidhlabInputError, match="e3 must be at least 2"):
+            loads_params(P47_TEXT)
 
     def test_dependent_basis_rejected(self, toy):
         import dataclasses
@@ -82,7 +92,7 @@ class TestParams:
         path = tmp_path / "toy.txt"
         path.write_text(dumps_params(toy))
         again = loads_params(path.read_text())
-        assert again.xPA == toy.xPA and again.xDB == toy.xDB
+        assert again == toy and again.field is not toy.field
 
     def test_file_rejects_wrong_p(self, toy, tmp_path):
         path = tmp_path / "toy.txt"
