@@ -300,64 +300,40 @@ def faultless_attack(
     bob_pk: PublicKey,
     rng: random.Random,
 ) -> int:
-    """Key recovery against the naive GF(p)-reject using only accept/reject.
+    """Key recovery against the naive GF(p)-reject using only accept/reject,
+    with no fault injections anywhere.
 
-    Guess trit t by sending the instance that backtracks one step further,
-    forge(prefix + t*3^i, i + 1): the walk reaches the A = 6 curve at step
-    i+1 exactly when the guess is right, so a rejection confirms it.  Guess
-    0 first, then 1 (rejection -> 1, acceptance -> 2).  No fault injections
-    anywhere.
-
-    Tiny fields add a wrinkle: an honest intermediate curve that already
-    lies in GF(p) makes every instance for that position reject, so the
-    oracle carries no information there.  A final verification catches the
-    mis-read, the ambiguous positions are re-probed with all three guesses,
-    and the leftover space is enumerated against the public key.
+    Guessing trit t of a prefix walk sends the instance that backtracks one
+    step further, forge(prefix + t*3^i, i + 1): the victim's walk reaches
+    the A = 6 curve at step i+1 whenever the guess is right, so a correct
+    guess always rejects.  One depth-first search from E_0 tries t = 0, 1, 2
+    at each position, descends only into guesses that reject, and completes
+    each full-depth prefix with the top trit that reproduces bob_pk.  An
+    honest intermediate curve that already lies in GF(p) makes every guess
+    at that position reject; such positions only add branches, which the
+    public key prunes at the leaves.  The search gives up after 3^8
+    branches.
     """
-    walk = PrefixWalk.start(params)
-    for _ in range(params.e3 - 1):
-        for trit in (0, 1):
-            guess = walk.step(trit)
-            if reject_oracle(forge_public_keys(guess, rng).pk):
-                break
-        else:
-            guess = walk.step(2)
-        walk = guess
+    budget = 3**8
 
-    top = 3 ** (params.e3 - 1)
-
-    def complete(prefix: int) -> Optional[int]:
-        t = _last_trit(params, prefix, bob_pk)
-        return None if t is None else prefix + t * top
-
-    sk = complete(walk.sk)
-    if sk is not None:
-        return sk
-
-    # Stage 2: a correct guess ALWAYS rejects (the walk provably reaches the
-    # A = 6 curve), so the true trit is in every position's reject set;
-    # accidental GF(p) visits only add false branches.  Depth-first search
-    # over rejecting guesses, pruning branches where nothing rejects, and
-    # giving up after 3^8 branches.
-    budget = [3**8]
-
-    def dfs(walk: PrefixWalk) -> Optional[int]:
+    def search(walk: PrefixWalk) -> Optional[int]:
+        nonlocal budget
         if walk.i == params.e3 - 1:
-            return complete(walk.sk)
-        guesses = [walk.step(t) for t in range(3)]
-        rejected = [g for g in guesses if reject_oracle(forge_public_keys(g, rng).pk)]
-        if not rejected:
-            return None  # the true guess would have rejected: wrong branch
-        for guess in rejected:
-            budget[0] -= 1
-            if budget[0] < 0:
+            top = _last_trit(params, walk.sk, bob_pk)
+            return None if top is None else walk.sk + top * 3**walk.i
+        for trit in range(3):
+            guess = walk.step(trit)
+            if not reject_oracle(forge_public_keys(guess, rng).pk):
+                continue
+            budget -= 1
+            if budget < 0:
                 raise OracleContradictionError("search budget exhausted")
-            found = dfs(guess)
+            found = search(guess)
             if found is not None:
                 return found
         return None
 
-    sk = dfs(PrefixWalk.start(params))
+    sk = search(PrefixWalk.start(params))
     if sk is None:
         raise OracleContradictionError("no completion matches the public key")
     return sk

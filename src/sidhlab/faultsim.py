@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional
 
 from .countermeasure import PushforwardConfig, masking_degree
@@ -29,9 +30,6 @@ from .montgomery import (
     ProjCoeff,
     affine_a_from_projective,
     coeff_in_fp,
-    xdbl_e,
-    xpoint_from_affine,
-    xtpl_e,
 )
 from .protocol import (
     BOB,
@@ -39,6 +37,7 @@ from .protocol import (
     SidhParams,
     chain_inputs,
     check_sk,
+    cleared_points,
     derive_with_trace,
     sample_torsion_x,
     secret_isogeny,
@@ -144,17 +143,10 @@ def _supersingular_spot_check(params: SidhParams, coeff, rng: random.Random) -> 
         E = MontgomeryCurve(affine_a_from_projective(coeff), F)
     except SidhlabInputError:
         return False
-    cc = E.coeff()
+    points = cleared_points(E, params.e2, params.e3, rng, 100 * SPOT_CHECK_POINTS)
     checked = 0
-    tries = 0
-    while checked < SPOT_CHECK_POINTS and tries < 100 * SPOT_CHECK_POINTS:
-        tries += 1
-        x = F.random_element(rng)
-        if x.is_zero() or not F.is_square(E.rhs(x)):
-            continue
-        pt = xpoint_from_affine(x, F)
-        out = xtpl_e(xdbl_e(pt, cc, params.e2), cc, params.e3)
-        if not out.is_infinity():
+    for pt in islice(points, SPOT_CHECK_POINTS):
+        if not pt.is_infinity():
             return False
         checked += 1
     return checked == SPOT_CHECK_POINTS

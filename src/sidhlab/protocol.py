@@ -18,12 +18,11 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from importlib.resources import files
-from typing import Optional
+from typing import Iterator, Optional
 
 from .field import Fp2, Fp2Field, SidhlabInputError, parse_int
 from .isogeny import (
     ChainTrace,
-    DegenerateChainError,  # noqa: F401  re-exported, the same class as isogeny's
     balanced_strategy,
     strategy_eval3,
     strategy_eval4,
@@ -187,6 +186,20 @@ def chain_inputs(pk: PublicKey, field: Fp2Field) -> tuple[ProjCoeff, XPoint, XPo
     return (coeff,) + tuple(xpoint_from_affine(x, field) for x in (pk.xP, pk.xQ, pk.xPQ))
 
 
+def cleared_points(
+    curve: MontgomeryCurve, e2: int, e3: int, rng: random.Random, tries: int
+) -> Iterator[XPoint]:
+    """[2^e2][3^e3]P for random points P on the curve, one per draw of x
+    that is nonzero and on the curve, not its twist.  Every draw counts
+    against tries, skipped ones too."""
+    F, coeff = curve.field, curve.coeff()
+    for _ in range(tries):
+        x = F.random_element(rng)
+        if x.is_zero() or not F.is_square(curve.rhs(x)):
+            continue
+        yield xtpl_e(xdbl_e(xpoint_from_affine(x, F), coeff, e2), coeff, e3)
+
+
 def sample_torsion_x(
     params: SidhParams,
     curve: MontgomeryCurve,
@@ -203,16 +216,11 @@ def sample_torsion_x(
     the first one it does not kill proves the curve malformed and raises
     SamplingExhaustedError at once.  Only points of too small an order and
     avoid hits are retried."""
-    F = params.field
     coeff = curve.coeff()
     e2 = params.e2 - k if ell == 2 else params.e2
     e3 = params.e3 - k if ell == 3 else params.e3
     mul_e, mul = (xdbl_e, xdbl) if ell == 2 else (xtpl_e, xtpl)
-    for _ in range(1000):
-        x = F.random_element(rng)
-        if x.is_zero() or not F.is_square(curve.rhs(x)):
-            continue
-        pt = xtpl_e(xdbl_e(xpoint_from_affine(x, F), coeff, e2), coeff, e3)
+    for pt in cleared_points(curve, e2, e3, rng, 1000):
         if pt.is_infinity():
             continue
         below = mul_e(pt, coeff, k - 1)
@@ -300,10 +308,14 @@ def param_gen(
 ) -> SidhParams:
     """Search a full parameter set over p = 2^e2 * 3^e3 - 1 (must be prime).
 
-    Deterministic for a given rng seed.
+    Deterministic for a given rng seed.  SidhlabInputError for a name that
+    the parameter file would not read back unchanged: one with a line break
+    or surrounding blanks.
     """
     F = Fp2Field(e2, e3)
     check_exponents(e2, e3)
+    if name and (name.splitlines() != [name] or name.strip() != name):
+        raise SidhlabInputError(f"name {name!r} has a line break or surrounding blanks")
     E = MontgomeryCurve(F(6), F)
     p = F.p
 

@@ -5,12 +5,9 @@ Criterion 2 drives ~50 full key recoveries at the 434-bit parameter scale
 and dominates the suite's runtime; everything else is toy-scale.
 """
 
-import math
 import multiprocessing
 import random
 import time
-
-import pytest
 
 from sidhlab.attack import (
     candidate_kernels,
@@ -32,10 +29,9 @@ from sidhlab.montgomery import (
     x_affine,
     xdbl,
     xpoint_from_affine,
-    xpoint_in_fp,
     xtpl,
 )
-from sidhlab.protocol import ALICE, BOB, bundled_params, derive, derive_with_trace, get_a, keygen
+from sidhlab.protocol import ALICE, BOB, bundled_params, derive, derive_with_trace, keygen
 
 from helpers import debug_assert_forced_curve, make_reject_oracle, sample_point_of_order, xpoint, xpoint_eq
 from velu_oracle import fit_linear, j_short_weierstrass, velu_isogeny

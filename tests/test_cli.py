@@ -367,6 +367,14 @@ class TestUntrustedInput:
         _usage_error(res, "e3 must be at least 2")
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["a\nb", " a "])
+    def test_params_gen_name_the_file_would_change(self, runner, tmp_path, name):
+        out = tmp_path / "p.txt"
+        args = ["params", "gen", "--e2", "4", "--e3", "3", "--seed", "1", "--name", name, "--out", str(out)]
+        res = runner.invoke(main, args)
+        _usage_error(res, "line break or surrounding blanks")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["attack"], ["countermeasure", "bench", "--k", "1"]])
     def test_params_file_with_e3_of_one(self, runner, tmp_path, command):
         path = tmp_path / "p47.txt"

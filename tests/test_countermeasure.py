@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from sidhlab.attack import candidate_kernels, faultless_attack, forge_public_keys, prefix_walk
+from sidhlab.attack import (
+    OracleContradictionError,
+    candidate_kernels,
+    faultless_attack,
+    forge_public_keys,
+    prefix_walk,
+)
 from sidhlab.countermeasure import (
     NaiveRejectOutcome,
     PushforwardConfig,
@@ -189,6 +195,21 @@ class TestFaultlessAttack:
             rej = make_reject_oracle(toy, sk)
             got = faultless_attack(toy, rej, keygen(toy, BOB, sk), random.Random(91))
             assert got % 27 == sk % 27, sk
+
+    def test_recovers_keys_at_e3_13(self, mid):
+        """Walks of up to 12 steps, where toy431's search has 2."""
+        rng = random.Random(13)
+        for _ in range(10):
+            sk = mid.sample_sk(BOB, rng)
+            assert faultless_attack(mid, make_reject_oracle(mid, sk), keygen(mid, BOB, sk), rng) == sk
+
+    def test_an_oracle_that_never_rejects_leaves_no_completion(self, toy):
+        with pytest.raises(OracleContradictionError, match="no completion matches the public key"):
+            faultless_attack(toy, lambda pk: False, keygen(toy, BOB, 5), random.Random(5))
+
+    def test_an_oracle_that_always_rejects_leaves_an_exhaustive_search(self, toy):
+        for sk in range(27):
+            assert faultless_attack(toy, lambda pk: True, keygen(toy, BOB, sk), random.Random(5)) == sk
 
     def test_zero_fault_injections(self, toy, monkeypatch):
         """The reject-oracle path can never reach the fault machinery."""

@@ -11,7 +11,7 @@ from sidhlab.faultsim import (
     oracle_randomized,
 )
 from sidhlab.montgomery import affine_a_from_projective, coeff_in_fp
-from sidhlab.protocol import ALICE, BOB, PublicKey, derive_with_trace, get_a, j_invariant, keygen
+from sidhlab.protocol import BOB, PublicKey, derive_with_trace, get_a, j_invariant, keygen
 
 from helpers import debug_assert_forced_curve, public_basis
 

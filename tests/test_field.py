@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sidhlab.field import (
-    Fp2,
     Fp2Field,
     SidhlabInputError,
     _jacobi,

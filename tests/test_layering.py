@@ -1,7 +1,8 @@
 """The package's import layering, read from the source with ast.
 
 Each module imports only from the layers below it, only public names cross
-a module boundary, and every import sits at module level.
+a module boundary, every import sits at module level, and no module, in the
+package or among the tests, imports a name it never uses.
 """
 
 import ast
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sidhlab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "sidhlab"
 
 # field -> montgomery -> isogeny -> protocol -> countermeasure -> faultsim,
 # protocol -> attack, and cli on top: the sidhlab modules each may import.
@@ -24,6 +26,7 @@ BELOW["cli"] = BELOW["faultsim"] | BELOW["attack"] | {"faultsim", "attack"}
 BELOW["__init__"] = {"field"}
 
 MODULES = sorted(SRC.glob("*.py"))
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def _tree(path):
@@ -103,3 +106,24 @@ def test_imports_sit_at_module_level(path):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not nested
+
+
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_every_import_is_used(path):
+    """Each name a module-level import binds is read in the module or
+    listed in its __all__."""
+    tree = _tree(path)
+    bound = set()
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(bound - used - exported)
+    assert not unused

@@ -10,7 +10,6 @@ from sidhlab.montgomery import (
     SingularCurveError,
     XPoint,
     affine_a_from_projective,
-    coeff_from_a,
     coeff_in_fp,
     j_invariant,
     ladder3pt,

@@ -3,18 +3,16 @@ import random
 import pytest
 
 from sidhlab.field import SidhlabInputError
-from sidhlab.isogeny import strategy_eval3, strategy_eval4
+from sidhlab.isogeny import strategy_eval3
 from sidhlab.montgomery import (
     MontgomeryCurve,
     SamplingExhaustedError,
     affine_a_from_projective,
     j_invariant,
     ladder3pt,
-    x_affine,
     xdbl,
     xdbl_e,
     xtpl,
-    xtpl_e,
     xpoint_from_affine,
 )
 from sidhlab.protocol import (
@@ -64,6 +62,15 @@ class TestParams:
         # 2^4 * 3 - 1 = 47 is prime, but Bob's key range [1, 3^0 - 1] is empty
         with pytest.raises(SidhlabInputError, match="e3 must be at least 2"):
             param_gen(4, 1, random.Random(1))
+
+    @pytest.mark.parametrize("name", ["a\nb", "a\r", "a\u2028b", " a", "a\t"])
+    def test_param_gen_refuses_a_name_the_file_would_change(self, name):
+        with pytest.raises(SidhlabInputError, match="line break or surrounding blanks"):
+            param_gen(4, 3, random.Random(1), name=name)
+
+    def test_name_reads_back(self):
+        params = param_gen(4, 3, random.Random(1), name="toy set #1")
+        assert loads_params(dumps_params(params)).name == "toy set #1"
 
     def test_e3_of_one_file_refused(self):
         """The p = 47 set that params gen --e2 4 --e3 1 --seed 1 used to write."""
