@@ -28,7 +28,6 @@ signs are arbitrary and cancel, which the sign-robustness test pins down.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .field import Fp2
@@ -58,8 +57,7 @@ class OracleContradictionError(RuntimeError):
     """No trit is consistent with the verdicts: the oracle is broken."""
 
 
-@dataclass
-class ForgedKeys:
+class ForgedKeys(NamedTuple):
     """The two oracle instances for one trit, plus the candidates' preimages.
 
     preimages[t] is x(P' + [sk + t*3^i]Q') on pk's curve E_i, where
@@ -72,12 +70,12 @@ class ForgedKeys:
     preimages: tuple
 
 
-@dataclass
 class AttackState:
     """Recovered prefix so far plus the per-trit oracle-call ledger."""
 
-    sk: int = 0
-    calls_per_trit: list = dc_field(default_factory=list)
+    def __init__(self, sk: int = 0, calls_per_trit: Optional[list] = None) -> None:
+        self.sk = sk
+        self.calls_per_trit = [] if calls_per_trit is None else calls_per_trit
 
     @property
     def total_calls(self) -> int:

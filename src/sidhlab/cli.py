@@ -18,9 +18,8 @@ import multiprocessing
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import click
 
@@ -47,8 +46,7 @@ from .protocol import (
 BUNDLED = ("toy431", "p434")
 
 
-@dataclass
-class TrialReport:
+class TrialReport(NamedTuple):
     """One attack trial: what was recovered, at what oracle cost."""
 
     param_set: str
@@ -61,7 +59,7 @@ class TrialReport:
     error: Optional[str] = None  # the exception class that ended a failed trial
 
     def to_json(self) -> str:
-        fields = asdict(self)
+        fields = self._asdict()
         if self.error is None:
             del fields["error"]
         return json.dumps(fields, sort_keys=True)
@@ -181,8 +179,7 @@ def attack_cmd(params_arg, trials, seed, json_out, csv_out, jobs, stable_duratio
     else:
         reports = [_run_trial(t) for t in tasks]
     if stable_durations:
-        for r in reports:
-            r.duration_s = 0.0
+        reports = [r._replace(duration_s=0.0) for r in reports]
     lines = [r.to_json() for r in reports]
     n = len(reports)
     successes = sum(r.success for r in reports)

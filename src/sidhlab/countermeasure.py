@@ -16,8 +16,7 @@ responder lives in faultsim, and masking_degree checks k for both.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .field import Fp2
 from .isogeny import strategy_eval2
@@ -43,15 +42,13 @@ from .protocol import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class PushforwardConfig:
+class PushforwardConfig(NamedTuple):
     """Degree exponent of the masking isogeny rho; k = 0 means no masking."""
 
     k: int
 
 
-@dataclass(frozen=True, slots=True)
-class NaiveRejectOutcome:
+class NaiveRejectOutcome(NamedTuple):
     accepted: bool
     shared_j: Optional[Fp2] = None
     rejected_step: Optional[int] = None

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .countermeasure import PushforwardConfig, masking_degree
 from .field import Fp2Field, SidhlabInputError
@@ -46,8 +45,7 @@ from .protocol import (
 SPOT_CHECK_POINTS = 3
 
 
-@dataclass(frozen=True, slots=True)
-class OracleVerdict:
+class OracleVerdict(NamedTuple):
     """bit = 1 iff the faulted run kept every kernel order-3 and the final
     curve passed the supersingularity spot check."""
 

@@ -60,8 +60,7 @@ formulas map to A = +-2 again, so the argument holds there as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .field import Fp2Field, SidhlabInputError
 from .montgomery import (
@@ -79,23 +78,22 @@ from .montgomery import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class IsogenyStep:
+class IsogenyStep(NamedTuple):
     """One computed isogeny: codomain coefficient plus evaluation constants."""
 
     new_coeff: ProjCoeff
     eval_data: tuple
 
 
-@dataclass
 class ChainTrace:
     """Per-run record: coefficients E_0..E_e (post-fault values included),
     each step's kernel x-point, and where (if anywhere) the chain went bad."""
 
-    coeffs: list = dc_field(default_factory=list)
-    kernels: list = dc_field(default_factory=list)
-    degenerate_at: Optional[int] = None
-    fault_fired_at: Optional[int] = None
+    def __init__(self, coeffs: list) -> None:
+        self.coeffs = coeffs
+        self.kernels: list = []
+        self.degenerate_at: Optional[int] = None
+        self.fault_fired_at: Optional[int] = None
 
     @property
     def completed(self) -> bool:

@@ -15,8 +15,7 @@ doubling-friendly (A + 2C : 4C) pair is derived on demand as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .field import Fp2, Fp2Field, SidhlabInputError
 
@@ -80,8 +79,7 @@ class XPoint:
         return f"XPoint({self.X!r}, {self.Z!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class FullPoint:
+class FullPoint(NamedTuple):
     """Affine point (x, y) or infinity; attacker-side and oracle use only."""
 
     x: Optional[Fp2]

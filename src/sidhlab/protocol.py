@@ -15,10 +15,9 @@ Conventions (SIKE-shaped):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cache
 from importlib.resources import files
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .field import Fp2, Fp2Field, SidhlabInputError, parse_int
 from .isogeny import (
@@ -56,8 +55,7 @@ class InconsistentPublicKeyError(SidhlabInputError):
     """The three x-coordinates cannot sit on one curve as (P, Q, P-Q)."""
 
 
-@dataclass(frozen=True, slots=True)
-class PublicKey:
+class PublicKey(NamedTuple):
     """Affine x-coordinates (x(P'), x(Q'), x(P'-Q')) of a pushed basis."""
 
     xP: Fp2
@@ -65,8 +63,7 @@ class PublicKey:
     xPQ: Fp2
 
 
-@dataclass
-class SidhParams:
+class SidhParams(NamedTuple):
     """Public parameter set as its file holds it: the field, which keeps the
     exponents, and both torsion bases on A = 6."""
 
@@ -79,13 +76,13 @@ class SidhParams:
     xQB: Fp2
     xDB: Fp2
 
-    @cached_property
-    def strategy3(self) -> list:
-        return balanced_strategy(self.e3)
+    @property
+    def strategy3(self) -> tuple:
+        return _strategy(self.e3)
 
-    @cached_property
-    def strategy4(self) -> list:
-        return balanced_strategy(self.e2 // 2)
+    @property
+    def strategy4(self) -> tuple:
+        return _strategy(self.e2 // 2)
 
     @property
     def e2(self) -> int:
@@ -156,6 +153,13 @@ class SidhParams:
         ):
             if get_a(PublicKey(*triple), F) != F(6):
                 raise SidhlabInputError(f"{label} difference x-coordinate is inconsistent")
+
+
+@cache
+def _strategy(n: int) -> tuple:
+    """balanced_strategy(n), computed once per n; a tuple, so it is shared
+    safely."""
+    return tuple(balanced_strategy(n))
 
 
 def check_exponents(e2: int, e3: int) -> None:
@@ -432,13 +436,16 @@ def loads_public_key(text: str, params: SidhParams) -> tuple[str, PublicKey]:
 
 def _entries(text: str, required: tuple) -> dict:
     """The key=value lines of a parameter or public-key file; blank lines
-    and # comments are skipped."""
+    and # comments are skipped, and a key may appear only once."""
     kv = {}
     for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
+            key = key.strip()
+            if key in kv:
+                raise SidhlabInputError(f"repeated {key!r} entry")
+            kv[key] = value.strip()
     for key in required:
         if key not in kv:
             raise SidhlabInputError(f"no {key!r} entry")

@@ -145,8 +145,7 @@ def public_keys(name):
     def edit(slot, how, x):
         old = getattr(honest, slot)
         new = {"replace": x, "nudge": old + F.one, "project": F(old.re)}[how]
-        coords = {s: getattr(honest, s) for s in ("xP", "xQ", "xPQ")}
-        return PublicKey(**{**coords, slot: new})
+        return honest._replace(**{slot: new})
 
     edited = st.builds(
         edit,

@@ -309,3 +309,6 @@ class TestRecovery:
     def test_attack_state_totals(self):
         st = AttackState(sk=5, calls_per_trit=[1, 2, 2, 1])
         assert st.total_calls == 6
+        first, second = AttackState(), AttackState()
+        first.calls_per_trit.append(2)
+        assert (second.sk, second.calls_per_trit, first.total_calls) == (0, [], 2)

@@ -295,14 +295,20 @@ class TestUntrustedInput:
         )
         _usage_error(res, "'e3'")
 
-    def test_params_file_with_a_wrong_difference(self, runner, tmp_path):
-        import dataclasses
+    def test_params_file_repeating_a_key(self, runner, tmp_path):
+        from sidhlab.protocol import bundled_params, dumps_params
 
+        path = tmp_path / "params.txt"
+        path.write_text(dumps_params(bundled_params("toy431")).replace("name=", "name=other\nname="))
+        res = runner.invoke(main, ["attack", "--params", str(path), "--trials", "1"])
+        _usage_error(res, "repeated 'name'")
+
+    def test_params_file_with_a_wrong_difference(self, runner, tmp_path):
         from sidhlab.protocol import bundled_params, dumps_params
 
         toy = bundled_params("toy431")
         path = tmp_path / "params.txt"
-        path.write_text(dumps_params(dataclasses.replace(toy, xDB=toy.xDB + toy.field.one)))
+        path.write_text(dumps_params(toy._replace(xDB=toy.xDB + toy.field.one)))
         res = runner.invoke(main, ["attack", "--params", str(path), "--trials", "1"])
         _usage_error(res, "inconsistent")
 

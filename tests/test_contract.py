@@ -94,6 +94,7 @@ class TestLoaders:
             (("side=alice", "side=carol"), "'carol'"),
             (("p=1af", "p=1b1"), "different parameters"),
             (("xQ=", "#xQ="), "'xQ'"),
+            (("side=alice\n", "side=alice\nside=bob\n"), "repeated 'side'"),
         ],
     )
     def test_pk_file_faults(self, toy, edit, text):
@@ -107,6 +108,11 @@ class TestLoaders:
         text = "".join(l for l in path.read_text().splitlines(True) if not l.startswith("e3="))
         with pytest.raises(SidhlabInputError, match="'e3'"):
             loads_params(text)
+
+    def test_params_file_repeating_an_entry(self, toy):
+        """A second name= line is refused, not loaded under the last name."""
+        with pytest.raises(SidhlabInputError, match="repeated 'name'"):
+            loads_params(dumps_params(toy).replace("name=", "name=other\nname="))
 
     def test_exponent_bound(self):
         with pytest.raises(SidhlabInputError, match="1024 bits"):

@@ -2,10 +2,14 @@
 
 Each module imports only from the layers below it, only public names cross
 a module boundary, every import sits at module level, and no module, in the
-package or among the tests, imports a name it never uses.
+package or among the tests, imports a name it never uses.  Importing the
+package does not load dataclasses, an import every short run would pay for.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,3 +131,19 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(bound - used - exported)
     assert not unused
+
+
+def test_import_leaves_out_dataclasses():
+    """What importing the top modules adds to a fresh interpreter's modules."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import sidhlab.attack, sidhlab.faultsim, sidhlab.countermeasure, sidhlab.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    added = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "sidhlab.cli" in added
+    assert "dataclasses" not in added

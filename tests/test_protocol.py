@@ -78,9 +78,7 @@ class TestParams:
             loads_params(P47_TEXT)
 
     def test_dependent_basis_rejected(self, toy):
-        import dataclasses
-
-        broken = dataclasses.replace(toy, xQB=toy.xPB)
+        broken = toy._replace(xQB=toy.xPB)
         with pytest.raises(ValueError):
             broken.validate()
 
@@ -88,12 +86,10 @@ class TestParams:
     def test_wrong_difference_refused(self, toy, key):
         """A difference x-coordinate moved off its basis, or zero, does not
         load."""
-        import dataclasses
-
         F = toy.field
         for bad in (getattr(toy, key) + F.one, F.zero):
             with pytest.raises(SidhlabInputError):
-                loads_params(dumps_params(dataclasses.replace(toy, **{key: bad})))
+                loads_params(dumps_params(toy._replace(**{key: bad})))
 
     def test_file_roundtrip(self, toy, tmp_path):
         path = tmp_path / "toy.txt"
