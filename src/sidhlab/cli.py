@@ -171,7 +171,7 @@ _PARAMS_CACHE: dict = {}
 )
 def attack_cmd(params_arg, trials, seed, json_out, csv_out, jobs, stable_durations):
     """Run full key-recovery trials against fresh static keys."""
-    _load(params_arg)  # fail fast on bad input
+    _PARAMS_CACHE[params_arg] = _load(params_arg)  # fail fast; the trials and forked workers reuse it
     tasks = [(params_arg, seed + idx) for idx in range(trials)]
     if jobs > 1 and trials > 1:
         with multiprocessing.Pool(min(jobs, trials)) as pool:

@@ -71,6 +71,7 @@ from .montgomery import (
     coeff_ints,
     exact_order_multiple_int,
     point_ints,
+    xadd_int,
     xdbl_e_int,
     xpoint_from_ints,
     xtpl_e_int,
@@ -79,7 +80,7 @@ from .montgomery import (
 
 
 class IsogenyStep(NamedTuple):
-    """One computed isogeny: codomain coefficient plus evaluation constants."""
+    """One computed isogeny: codomain coefficient plus eval data (a 3-isogeny's is its kernel)."""
 
     new_coeff: ProjCoeff
     eval_data: tuple
@@ -162,17 +163,16 @@ def xeval2_int(Q: tuple, data: tuple, p: int) -> tuple:
 
 def xisog3_int(K: tuple, p: int) -> tuple:
     """3-isogeny from the order-3 kernel x(K): (codomain coefficient in
-    (alpha : beta) form, evaluation constants (X - Z, X + Z)).
+    (alpha : beta) form, K itself as the evaluation data).
 
     alpha' = (X - Z)(3X + Z)^3, beta' = (X + Z)(3X - Z)^3.
     """
     Xr, Xi, Zr, Zi = K
-    k1r = (Xr - Zr) % p
-    k1i = (Xi - Zi) % p
-    k2r = (Xr + Zr) % p
-    k2i = (Xi + Zi) % p
     coeff = []
-    for kr, ki, ur, ui in ((k1r, k1i, 3 * Xr + Zr, 3 * Xi + Zi), (k2r, k2i, 3 * Xr - Zr, 3 * Xi - Zi)):
+    for kr, ki, ur, ui in (
+        (Xr - Zr, Xi - Zi, 3 * Xr + Zr, 3 * Xi + Zi),
+        (Xr + Zr, Xi + Zi, 3 * Xr - Zr, 3 * Xi - Zi),
+    ):
         sr = ((ur + ui) * (ur - ui)) % p  # u^2
         si = (2 * ur * ui) % p
         m0 = sr * ur
@@ -184,45 +184,14 @@ def xisog3_int(K: tuple, p: int) -> tuple:
         m1 = ki * ci
         m2 = (kr + ki) * (cr + ci)
         coeff += ((m0 - m1) % p, (m2 - m0 - m1) % p)
-    return tuple(coeff), (k1r, k1i, k2r, k2i)
+    return tuple(coeff), K
 
 
-def xeval3_int(Q: tuple, data: tuple, p: int) -> tuple:
-    """Push x(Q) through a 3-isogeny: x' = x (x*xK - 1)^2 / (x - xK)^2, as
-    t0 = k1 (X + Z), t1 = k2 (X - Z), X' = X (t0 + t1)^2, Z' = Z (t0 - t1)^2."""
-    Xr, Xi, Zr, Zi = Q
-    k1r, k1i, k2r, k2i = data
-    sr = Xr + Zr
-    si = Xi + Zi
-    m0 = k1r * sr
-    m1 = k1i * si
-    m2 = (k1r + k1i) * (sr + si)
-    t0r = m0 - m1
-    t0i = m2 - m0 - m1
-    dr = Xr - Zr
-    di = Xi - Zi
-    m0 = k2r * dr
-    m1 = k2i * di
-    m2 = (k2r + k2i) * (dr + di)
-    t1r = m0 - m1
-    t1i = m2 - m0 - m1
-    ar = (t0r + t1r) % p
-    ai = (t0i + t1i) % p
-    br = (t0r - t1r) % p
-    bi = (t0i - t1i) % p
-    a2r = ((ar + ai) * (ar - ai)) % p
-    a2i = (2 * ar * ai) % p
-    b2r = ((br + bi) * (br - bi)) % p
-    b2i = (2 * br * bi) % p
-    m0 = Xr * a2r
-    m1 = Xi * a2i
-    m2 = (Xr + Xi) * (a2r + a2i)
-    Xo_r = (m0 - m1) % p
-    Xo_i = (m2 - m0 - m1) % p
-    m0 = Zr * b2r
-    m1 = Zi * b2i
-    m2 = (Zr + Zi) * (b2r + b2i)
-    return Xo_r, Xo_i, (m0 - m1) % p, (m2 - m0 - m1) % p
+def xeval3_int(Q: tuple, K: tuple, p: int) -> tuple:
+    """Push x(Q) through the 3-isogeny with kernel x(K) (Costello and Hisil,
+    ASIACRYPT 2017): x' = x (x*xK - 1)^2 / (x - xK)^2.  That is xadd_int's
+    formula with x(K), x(Q) as summands and 1/x(Q) = (Z : X) as difference."""
+    return xadd_int(K, Q, (Q[2], Q[3], Q[0], Q[1]), p)
 
 
 def xisog4_int(K: tuple, p: int) -> tuple:

@@ -160,8 +160,9 @@ def j_invariant(A: Fp2, field: Fp2Field) -> Fp2:
 # Each formula is one kernel on int 4-tuples of canonical residues: a point
 # (X : Z) is (X.re, X.im, Z.re, Z.im), a coefficient (alpha : beta) is
 # (alpha.re, alpha.im, beta.re, beta.im), and p comes last.  Products are
-# Karatsuba over GF(p).  The object-level names convert at the edges and run
-# the same kernels, so chains can stay on ints from end to end.
+# Karatsuba over GF(p).  Only xDBL and xADD are unrolled: xTPL and the
+# 3-isogeny push (isogeny.xeval3_int) are built from them.  The object-level
+# names convert at the edges and run the same kernels, so chains stay on ints.
 # --------------------------------------------------------------------------
 
 

@@ -188,6 +188,19 @@ class TestAttackCommand:
         res = runner.invoke(main, ["attack", "--params", "nope", "--trials", "1"])
         assert res.exit_code == 2
 
+    def test_rewritten_params_file_is_reloaded(self, runner, tmp_path, toy, mid):
+        """A second attack in the same process on a file rewritten in between
+        runs the new parameter set, not the one the first attack loaded."""
+        from sidhlab.protocol import dumps_params
+
+        path = tmp_path / "params.txt"
+        for ps in (toy, mid):
+            path.write_text(dumps_params(ps))
+            res = runner.invoke(main, ["attack", "--params", str(path), "--trials", "1", "--stable-durations"])
+            assert res.exit_code == 0, res.output
+            trial = json.loads(res.stdout.splitlines()[0])
+            assert (trial["param_set"], trial["e3"]) == (ps.name, ps.e3)
+
 
 class TestKeygenDerive:
     def test_round_trip(self, runner, tmp_path):
@@ -417,6 +430,19 @@ class TestStandingGuards:
         assert res.exit_code == 0, res.output
         digest = hashlib.sha256(res.stdout.encode()).hexdigest()
         assert digest == "60c59504f5c8b944b19bd735106229083ef387cf20cd0a608311e0cced78d227"
+
+    @pytest.mark.parametrize(
+        "e3, seed, digest",
+        [
+            ("3", "1", "5eaff56f8bb69082d88fbee6524637961aa19e7cb00316d28077f1026ab51ec7"),
+            ("13", "413", "4eb435ec37601f5d9ba4971ada0efa411e1da5c2d27b9467994ac1a0c232ba91"),
+        ],
+    )
+    def test_params_gen_output(self, runner, tmp_path, e3, seed, digest):
+        out = tmp_path / "params.txt"
+        res = runner.invoke(main, ["params", "gen", "--e2", "4", "--e3", e3, "--seed", seed, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @staticmethod
     def _bench(runner, k):
