@@ -189,10 +189,11 @@ def forge_public_keys(walk: PrefixWalk, rng: random.Random) -> ForgedKeys:
     # exact order 3^e3, independent of phi(Q) at the order-3 level
     x_t = x_affine(sample_torsion_x(params, E_i, 3, params.e3, rng, avoid=x_affine(walk.q3)))
 
-    phi_q = E_i.lift_x(x_affine(walk.q))
-    t_full = E_i.lift_x(x_t)
-    x_sum = xpoint_from_affine(E_i.add(phi_q, t_full).x, F)  # x(phiQ + T)
-    x_dif = xpoint_from_affine(E_i.sub(phi_q, t_full).x, F)  # x(phiQ - T)
+    x_q = x_affine(walk.q)
+    phi_q = (x_q, F.sqrt(E_i.rhs(x_q)))
+    y_t = F.sqrt(E_i.rhs(x_t))
+    x_sum = xpoint_from_affine(E_i.chord_x(phi_q, (x_t, y_t)), F)  # x(phiQ + T)
+    x_dif = xpoint_from_affine(E_i.chord_x(phi_q, (x_t, -y_t)), F)  # x(phiQ - T)
 
     q, b = walk.q, xpoint_from_affine(x_t, F)
     a1, d1, a2, d2, d0 = q, x_dif, x_sum, q, x_dif

@@ -1,7 +1,7 @@
 """Montgomery-curve arithmetic: x-only projective kernels, the projective
-curve-coefficient representation the fault model targets, full affine points
-for attacker-side bookkeeping and test oracles, and the GF(p)-membership
-predicates.
+curve-coefficient representation the fault model targets, the
+GF(p)-membership predicates, and the two affine steps that parameter
+generation and forging need: a multiple with y-recovery and a chord.
 
 Curves are B*y^2 = x^3 + A*x^2 + x with B fixed to 1 throughout; x-only
 formulas never involve B, so the twist is handled transparently.
@@ -15,7 +15,7 @@ doubling-friendly (A + 2C : 4C) pair is derived on demand as
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .field import Fp2, Fp2Field, SidhlabInputError
 
@@ -77,18 +77,6 @@ class XPoint:
 
     def __repr__(self):
         return f"XPoint({self.X!r}, {self.Z!r})"
-
-
-class FullPoint(NamedTuple):
-    """Affine point (x, y) or infinity; attacker-side and oracle use only."""
-
-    x: Optional[Fp2]
-    y: Optional[Fp2]
-    infinity: bool = False
-
-    @classmethod
-    def at_infinity(cls) -> "FullPoint":
-        return cls(x=None, y=None, infinity=True)
 
 
 def coeff_from_a(A: Fp2, field: Fp2Field) -> ProjCoeff:
@@ -369,13 +357,8 @@ def x_affine(P: XPoint) -> Fp2:
     return P.X * P.Z.inv()
 
 
-# --------------------------------------------------------------------------
-# Full-point affine arithmetic (the independent oracle and attacker toolbox).
-# --------------------------------------------------------------------------
-
-
 class MontgomeryCurve:
-    """y^2 = x^3 + A x^2 + x over GF(p^2) with the affine group law."""
+    """y^2 = x^3 + A x^2 + x over GF(p^2); affine points are (x, y) pairs."""
 
     def __init__(self, A: Fp2, field: Fp2Field):
         if (A.sqr() - field(4)).is_zero():
@@ -389,52 +372,38 @@ class MontgomeryCurve:
     def rhs(self, x: Fp2) -> Fp2:
         return x * x.sqr() + self.A * x.sqr() + x
 
-    def lift_x(self, x: Fp2) -> FullPoint:
-        """The point (x, y) with the canonical square root as y.
+    def affine_multiple(self, n: int, x: Fp2, y: Fp2) -> Optional[tuple[Fp2, Fp2]]:
+        """[n]P for P = (x, y) on the curve and n >= 1; None when [n]P is
+        infinity.  A two-point ladder on the x-only kernels gives x([n]P) and
+        x([n+1]P), and Okeya-Sakurai y-recovery (CHES 2001) the y:
 
-        Raises ValueError when x is on the twist (rhs is a non-square).
-        """
-        return FullPoint(x, self.field.sqrt(self.rhs(x)))
+            y_n = ((x x_n + 1)(x + x_n + 2A) - 2A - (x - x_n)^2 x_(n+1)) / 2y
 
-    def negate(self, P: FullPoint) -> FullPoint:
-        if P.infinity:
-            return P
-        return FullPoint(P.x, -P.y)
+        with [n]P = -P, the one case where x_(n+1) is undefined, read off
+        directly.  Requires y != 0: the recovery divides by 2y, and at
+        P = (0, 0) the ladder, whose difference is x(P) = 0, degenerates."""
+        F, p = self.field, self.field.p
+        C = coeff_ints(self.coeff())
+        D = (x.re, x.im, 1, 0)
+        R0, R1 = D, xdbl_int(D, C, p)  # R1 - R0 = P throughout
+        for bit in bin(n)[3:]:
+            if bit == "1":
+                R0, R1 = xadd_int(R0, R1, D, p), xdbl_int(R1, C, p)
+            else:
+                R0, R1 = xdbl_int(R0, C, p), xadd_int(R0, R1, D, p)
+        if not (R0[2] or R0[3]):
+            return None
+        xn = x_affine(xpoint_from_ints(R0, p))
+        if not (R1[2] or R1[3]):
+            return xn, -y
+        x1 = x_affine(xpoint_from_ints(R1, p))
+        A2 = self.A + self.A
+        num = (x * xn + F.one) * (x + xn + A2) - A2 - (x - xn).sqr() * x1
+        return xn, num * (y + y).inv()
 
-    def add(self, P: FullPoint, Q: FullPoint) -> FullPoint:
-        if P.infinity:
-            return Q
-        if Q.infinity:
-            return P
-        if P.x == Q.x:
-            if P.y == Q.y:
-                return self.double(P)
-            return FullPoint.at_infinity()
-        lam = (Q.y - P.y) * (Q.x - P.x).inv()
-        x3 = lam.sqr() - self.A - P.x - Q.x
-        return FullPoint(x3, lam * (P.x - x3) - P.y)
-
-    def double(self, P: FullPoint) -> FullPoint:
-        if P.infinity or P.y.is_zero():
-            return FullPoint.at_infinity()
-        f = self.field
-        num = f(3) * P.x.sqr() + (self.A + self.A) * P.x + f.one
-        lam = num * (P.y + P.y).inv()
-        x3 = lam.sqr() - self.A - P.x - P.x
-        return FullPoint(x3, lam * (P.x - x3) - P.y)
-
-    def sub(self, P: FullPoint, Q: FullPoint) -> FullPoint:
-        return self.add(P, self.negate(Q))
-
-    def scalar_mul(self, k: int, P: FullPoint) -> FullPoint:
-        if k < 0:
-            return self.scalar_mul(-k, self.negate(P))
-        R = FullPoint.at_infinity()
-        Q = P
-        while k:
-            if k & 1:
-                R = self.add(R, Q)
-            Q = self.double(Q)
-            k >>= 1
-        return R
-
+    def chord_x(self, P: tuple[Fp2, Fp2], Q: tuple[Fp2, Fp2]) -> Fp2:
+        """x(P + Q) for affine P = (x_P, y_P) and Q = (x_Q, y_Q) with
+        x_P != x_Q; Q = (x_Q, -y_Q) gives x(P - Q)."""
+        (xP, yP), (xQ, yQ) = P, Q
+        lam = (yQ - yP) * (xQ - xP).inv()
+        return lam.sqr() - self.A - xP - xQ

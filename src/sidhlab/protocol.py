@@ -27,7 +27,6 @@ from .isogeny import (
     strategy_eval4,
 )
 from .montgomery import (
-    FullPoint,
     MontgomeryCurve,
     ProjCoeff,
     SamplingExhaustedError,
@@ -321,43 +320,47 @@ def param_gen(
     if name and (name.splitlines() != [name] or name.strip() != name):
         raise SidhlabInputError(f"name {name!r} has a line break or surrounding blanks")
     E = MontgomeryCurve(F(6), F)
-    p = F.p
+    coeff, p = E.coeff(), F.p
 
-    def basis_point(d: int, draw) -> tuple[FullPoint, FullPoint]:
-        """(P, [d/l]P) for a point P of exact order d = l^e, cleared from
-        (x, sqrt(rhs)) with x = draw() on E, not its twist.  A GF(p) draw
-        is never on the twist, and rhs = 0 gives a 2-torsion point that
-        clearing to order 3^e3 sends to infinity."""
+    def basis_point(ell: int, e: int, draw) -> tuple[tuple[Fp2, Fp2], XPoint]:
+        """(P, x([ell^(e-1)]P)) for an affine point P = (x, y) of exact order
+        ell^e, cleared from (x, sqrt(rhs)) with x = draw() on E, not its
+        twist.  A GF(p) draw is never on the twist.  A draw with rhs = 0 is
+        a 2-torsion point: it never clears to exact order ell^e and lies
+        outside affine_multiple's y != 0 precondition, so it is skipped."""
+        mul_e = xdbl_e if ell == 2 else xtpl_e
         for _ in range(1000):
             x = draw()
             rhs = E.rhs(x)
-            if not F.is_square(rhs):
+            if rhs.is_zero() or not F.is_square(rhs):
                 continue
-            P = E.scalar_mul((p + 1) // d, FullPoint(x, F.sqrt(rhs)))
-            below = E.scalar_mul(d // (2 if d % 2 == 0 else 3), P)
-            if not below.infinity:
+            P = E.affine_multiple((p + 1) // ell**e, x, F.sqrt(rhs))
+            if P is None:
+                continue
+            below = mul_e(xpoint_from_affine(P[0], F), coeff, e - 1)
+            if not below.is_infinity():
                 return P, below
-        raise SamplingExhaustedError(f"no point of order {d}")
+        raise SamplingExhaustedError(f"no point of order {ell**e}")
 
-    def sample_alice(want_zero_below: bool) -> FullPoint:
+    def sample_alice(want_zero_below: bool) -> tuple[Fp2, Fp2]:
         for _ in range(1000):
-            P, below = basis_point(1 << e2, lambda: F.random_element(rng))
-            if below.x.is_zero() == want_zero_below:
+            P, below = basis_point(2, e2, lambda: F.random_element(rng))
+            if below.X.is_zero() == want_zero_below:
                 return P
         raise SamplingExhaustedError("no suitable 2-power basis point")
 
     QA = sample_alice(True)
     PA = sample_alice(False)
-    DA = E.sub(PA, QA)
+    xDA = E.chord_x(PA, (QA[0], -QA[1]))  # x(PA - QA)
 
     # x(P_B), x(Q_B) in GF(p): the whole multiple tower stays there too
     for _ in range(1000):
-        PB, pb3 = basis_point(3**e3, lambda: F(rng.randrange(p)))
-        QB, qb3 = basis_point(3**e3, lambda: F(rng.randrange(p)))
-        if pb3.x == qb3.x:
+        PB, pb3 = basis_point(3, e3, lambda: F(rng.randrange(p)))
+        QB, qb3 = basis_point(3, e3, lambda: F(rng.randrange(p)))
+        if x_affine(pb3) == x_affine(qb3):
             continue
-        DB = E.sub(PB, QB)
-        if DB.x.im != 0:
+        xDB = E.chord_x(PB, (QB[0], -QB[1]))  # x(PB - QB)
+        if xDB.im != 0:
             break
     else:
         raise SamplingExhaustedError("no independent Bob basis with x(D) outside GF(p)")
@@ -365,12 +368,12 @@ def param_gen(
     params = SidhParams(
         name=name or f"p{p.bit_length()}",
         field=F,
-        xPA=PA.x,
-        xQA=QA.x,
-        xDA=DA.x,
-        xPB=PB.x,
-        xQB=QB.x,
-        xDB=DB.x,
+        xPA=PA[0],
+        xQA=QA[0],
+        xDA=xDA,
+        xPB=PB[0],
+        xQB=QB[0],
+        xDB=xDB,
     )
     params.validate()
     return params

@@ -1,7 +1,10 @@
 """Test-only helpers: views of the parameters, curves and responders that the
-program itself never needs, an independent full-point torsion sampler, and
-earlier recipes kept as references: for sidhlab.attack, the forged pair from
-a fresh ladder and strategy walk from E_0 per call, and the candidate
+program itself never needs, and references the program is checked against.
+The affine group law lives here alone (ReferenceCurve and FullPoint), as the
+independent reference for the x-only kernels, the ladder, the curve's affine
+multiple and chord, the Velu oracle and a full-point torsion sampler.  The
+other references are earlier recipes: for sidhlab.attack, the forged pair
+from a fresh ladder and strategy walk from E_0 per call, and the candidate
 kernels from three binary ladders over the pushed-back forged triple; for
 get_a, the sum/product relation for x(P +- Q); for the int kernels and the
 chain walker, the x-only formulas on Fp2 objects, a walker that checks every
@@ -11,11 +14,13 @@ walker; and an e3 = 1 parameter file that nothing may load.
 
 import functools
 import random
+from typing import NamedTuple, Optional
 
 from hypothesis import HealthCheck, settings, strategies as st
 
 from sidhlab.attack import OracleContradictionError
 from sidhlab.countermeasure import derive_bob_naive_reject
+from sidhlab.field import Fp2
 from sidhlab.isogeny import (
     ChainTrace,
     DegenerateChainError,
@@ -25,7 +30,6 @@ from sidhlab.isogeny import (
 )
 from sidhlab.isogeny import _schedule as schedule
 from sidhlab.montgomery import (
-    FullPoint,
     MontgomeryCurve,
     ProjCoeff,
     SamplingExhaustedError,
@@ -56,9 +60,74 @@ def public_basis(params, side):
     return PublicKey(params.xPB, params.xQB, params.xDB)
 
 
+class FullPoint(NamedTuple):
+    """Affine point (x, y) or infinity."""
+
+    x: Optional[Fp2]
+    y: Optional[Fp2]
+    infinity: bool = False
+
+    @classmethod
+    def at_infinity(cls) -> "FullPoint":
+        return cls(x=None, y=None, infinity=True)
+
+
+class ReferenceCurve(MontgomeryCurve):
+    """The curve with the textbook affine group law on FullPoints."""
+
+    def lift_x(self, x: Fp2) -> FullPoint:
+        """The point (x, y) with the canonical square root as y.
+
+        Raises ValueError when x is on the twist (rhs is a non-square).
+        """
+        return FullPoint(x, self.field.sqrt(self.rhs(x)))
+
+    def negate(self, P: FullPoint) -> FullPoint:
+        if P.infinity:
+            return P
+        return FullPoint(P.x, -P.y)
+
+    def add(self, P: FullPoint, Q: FullPoint) -> FullPoint:
+        if P.infinity:
+            return Q
+        if Q.infinity:
+            return P
+        if P.x == Q.x:
+            if P.y == Q.y:
+                return self.double(P)
+            return FullPoint.at_infinity()
+        lam = (Q.y - P.y) * (Q.x - P.x).inv()
+        x3 = lam.sqr() - self.A - P.x - Q.x
+        return FullPoint(x3, lam * (P.x - x3) - P.y)
+
+    def double(self, P: FullPoint) -> FullPoint:
+        if P.infinity or P.y.is_zero():
+            return FullPoint.at_infinity()
+        f = self.field
+        num = f(3) * P.x.sqr() + (self.A + self.A) * P.x + f.one
+        lam = num * (P.y + P.y).inv()
+        x3 = lam.sqr() - self.A - P.x - P.x
+        return FullPoint(x3, lam * (P.x - x3) - P.y)
+
+    def sub(self, P: FullPoint, Q: FullPoint) -> FullPoint:
+        return self.add(P, self.negate(Q))
+
+    def scalar_mul(self, k: int, P: FullPoint) -> FullPoint:
+        if k < 0:
+            return self.scalar_mul(-k, self.negate(P))
+        R = FullPoint.at_infinity()
+        Q = P
+        while k:
+            if k & 1:
+                R = self.add(R, Q)
+            Q = self.double(Q)
+            k >>= 1
+        return R
+
+
 def start_curve(params):
     """The starting curve A = 6 of a parameter set, with the affine group law."""
-    return MontgomeryCurve(params.field(6), params.field)
+    return ReferenceCurve(params.field(6), params.field)
 
 
 def xpoint_eq(P: XPoint, Q: XPoint) -> bool:
@@ -78,7 +147,7 @@ def difference_consistent(xP, xQ, xD, A, F) -> bool:
     return (xD.sqr() * d2 - (s_num + s_num) * xD + prod).is_zero()
 
 
-def sample_point_of_order(curve: MontgomeryCurve, d: int, rng: random.Random) -> FullPoint:
+def sample_point_of_order(curve: ReferenceCurve, d: int, rng: random.Random) -> FullPoint:
     """A uniform-ish point of exact order d on the curve (not its twist).
 
     d must be a power of 2 or 3 dividing p + 1; cofactor-cleared random
@@ -111,7 +180,7 @@ def xpoint_infinity(field):
     return XPoint(field.one, field.zero)
 
 
-def xpoint(curve: MontgomeryCurve, P: FullPoint):
+def xpoint(curve: ReferenceCurve, P: FullPoint):
     """The x-only view of a full point."""
     if P.infinity:
         return xpoint_infinity(curve.field)
@@ -165,7 +234,7 @@ def make_reject_oracle(params, sk: int):
     return _oracle
 
 
-def on_curve(curve: MontgomeryCurve, P: FullPoint) -> bool:
+def on_curve(curve: ReferenceCurve, P: FullPoint) -> bool:
     if P.infinity:
         return True
     return P.y.sqr() == curve.rhs(P.x)
@@ -202,7 +271,7 @@ def reference_forge(params, sk_prefix: int, i: int, rng: random.Random, negate_p
     if not trace.completed:
         raise OracleContradictionError(f"attacker chain degenerate at step {trace.degenerate_at}")
     A_i = affine_a_from_projective(final)
-    E_i = MontgomeryCurve(A_i, F)
+    E_i = ReferenceCurve(A_i, F)
     coeff_i = coeff_from_a(A_i, F)
     x_phiq = x_affine(pushed[0])
     xq_pt = xpoint_from_affine(x_phiq, F)

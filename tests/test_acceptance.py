@@ -20,7 +20,6 @@ from sidhlab.countermeasure import PushforwardConfig, derive_bob_randomized
 from sidhlab.faultsim import make_oracle, oracle
 from sidhlab.isogeny import xeval3, xeval4, xisog3, xisog4
 from sidhlab.montgomery import (
-    MontgomeryCurve,
     ProjCoeff,
     affine_a_from_projective,
     coeff_in_fp,
@@ -33,7 +32,14 @@ from sidhlab.montgomery import (
 )
 from sidhlab.protocol import ALICE, BOB, bundled_params, derive, derive_with_trace, keygen
 
-from helpers import debug_assert_forced_curve, make_reject_oracle, sample_point_of_order, xpoint, xpoint_eq
+from helpers import (
+    ReferenceCurve,
+    debug_assert_forced_curve,
+    make_reject_oracle,
+    sample_point_of_order,
+    xpoint,
+    xpoint_eq,
+)
 from velu_oracle import fit_linear, j_short_weierstrass, velu_isogeny
 
 
@@ -253,7 +259,7 @@ def test_criterion_8_countermeasures(toy):
 def test_criterion_9_xonly_vs_independent_oracle(toy, F431):
     """xdbl, xtpl, ladder3pt, xisog3/xeval3, xisog4/xeval4 against the affine
     group law and textbook Velu, exhaustively at p = 431."""
-    E = MontgomeryCurve(F431(6), F431)
+    E = ReferenceCurve(F431(6), F431)
     coeff = E.coeff()
 
     # (a) doubling/tripling over every point of E(F_p^2)

@@ -432,15 +432,16 @@ class TestStandingGuards:
         assert digest == "60c59504f5c8b944b19bd735106229083ef387cf20cd0a608311e0cced78d227"
 
     @pytest.mark.parametrize(
-        "e3, seed, digest",
+        "e2, e3, seed, digest",
         [
-            ("3", "1", "5eaff56f8bb69082d88fbee6524637961aa19e7cb00316d28077f1026ab51ec7"),
-            ("13", "413", "4eb435ec37601f5d9ba4971ada0efa411e1da5c2d27b9467994ac1a0c232ba91"),
+            ("4", "3", "1", "5eaff56f8bb69082d88fbee6524637961aa19e7cb00316d28077f1026ab51ec7"),
+            ("4", "13", "413", "4eb435ec37601f5d9ba4971ada0efa411e1da5c2d27b9467994ac1a0c232ba91"),
+            ("216", "137", "7", "4048ad8248bda504fe638940833e67129d65f590c9ddc78a91606b73db349703"),
         ],
     )
-    def test_params_gen_output(self, runner, tmp_path, e3, seed, digest):
+    def test_params_gen_output(self, runner, tmp_path, e2, e3, seed, digest):
         out = tmp_path / "params.txt"
-        res = runner.invoke(main, ["params", "gen", "--e2", "4", "--e3", e3, "--seed", seed, "--out", str(out)])
+        res = runner.invoke(main, ["params", "gen", "--e2", e2, "--e3", e3, "--seed", seed, "--out", str(out)])
         assert res.exit_code == 0, res.output
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

@@ -13,7 +13,6 @@ from sidhlab.isogeny import (
     xisog4,
 )
 from sidhlab.montgomery import (
-    MontgomeryCurve,
     affine_a_from_projective,
     coeff_in_fp,
     j_invariant,
@@ -24,13 +23,13 @@ from sidhlab.montgomery import (
     zero_imaginary_parts,
 )
 
-from helpers import sample_point_of_order, schedule, start_curve, xpoint
+from helpers import ReferenceCurve, sample_point_of_order, schedule, start_curve, xpoint
 from velu_oracle import fit_linear, j_short_weierstrass, velu_isogeny
 
 
 @pytest.fixture(scope="module")
 def E(F431):
-    return MontgomeryCurve(F431(6), F431)
+    return ReferenceCurve(F431(6), F431)
 
 
 def all_points_of_order(E, d, rng, rounds=500):

@@ -4,8 +4,6 @@ import pytest
 
 from sidhlab.montgomery import (
     DegenerateCoefficientError,
-    FullPoint,
-    MontgomeryCurve,
     ProjCoeff,
     SingularCurveError,
     XPoint,
@@ -22,12 +20,20 @@ from sidhlab.montgomery import (
     xtpl_e,
 )
 
-from helpers import on_curve, sample_point_of_order, xpoint, xpoint_eq, xpoint_infinity
+from helpers import (
+    FullPoint,
+    ReferenceCurve,
+    on_curve,
+    sample_point_of_order,
+    xpoint,
+    xpoint_eq,
+    xpoint_infinity,
+)
 
 
 @pytest.fixture(scope="module")
 def E(F431):
-    return MontgomeryCurve(F431(6), F431)
+    return ReferenceCurve(F431(6), F431)
 
 
 def on_curve_xs(F, E):
@@ -223,7 +229,24 @@ class TestFullPoint:
             s_num = (x1 + x2) * (x1 * x2 + F.one) + (E.A + E.A) * x1 * x2
             assert S.x * D.x * d2 == prod
             assert (S.x + D.x) * d2 == s_num + s_num
+            assert E.chord_x((x1, P.y), (x2, Q.y)) == S.x
+            assert E.chord_x((x1, P.y), (x2, -Q.y)) == D.x
             checked += 1
+
+    def test_affine_multiple(self, F431, E, rng):
+        """The curve's affine multiple against the group law at n = 1, 2, 3,
+        ord - 1 ([n+1]P = O), ord (None) and a random n, on random points
+        with y != 0 and on one point of each order 3, 4, 8, 16 and 27."""
+        points = [sample_point_of_order(E, d, rng) for d in (3, 4, 8, 16, 27)]
+        while len(points) < 40:
+            x = F431.random_element(rng)
+            if F431.is_square(E.rhs(x)) and not E.rhs(x).is_zero():
+                points.append(E.lift_x(x))
+        for P in points:
+            order = min(d for d in range(1, 433) if 432 % d == 0 and E.scalar_mul(d, P).infinity)
+            for n in (1, 2, 3, order - 1, order, rng.randrange(1, 1 << 64)):
+                want = E.scalar_mul(n, P)
+                assert E.affine_multiple(n, P.x, P.y) == (None if want.infinity else (want.x, want.y))
 
     def test_contains(self, F431, E, rng):
         P = sample_point_of_order(E, 16, rng)

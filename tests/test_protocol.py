@@ -31,7 +31,7 @@ from sidhlab.protocol import (
     sample_torsion_x,
 )
 
-from helpers import P47_TEXT, difference_consistent, public_basis, start_curve
+from helpers import P47_TEXT, ReferenceCurve, difference_consistent, public_basis, start_curve
 
 
 class TestParams:
@@ -136,7 +136,7 @@ class TestKeygen:
         """x(phi(P - Q)) equals x(phi(P) - phi(Q)) via the full-point oracle."""
         pk = keygen(toy, BOB, 7)
         F = toy.field
-        E1 = MontgomeryCurve(get_a(pk, F), F)
+        E1 = ReferenceCurve(get_a(pk, F), F)
         P = E1.lift_x(pk.xP)
         Q = E1.lift_x(pk.xQ)
         diffs = {E1.sub(P, Q).x, E1.add(P, Q).x}  # sign of Q unknown
@@ -246,7 +246,7 @@ class TestTorsionSampler:
         up at the first point [ell^k] does not kill (it spent 1000 full
         clearings before), while the honest curve still samples."""
         F = toy.field
-        bad = MontgomeryCurve(F(5), F)
+        bad = ReferenceCurve(F(5), F)
         xs = [F(v) for v in range(2, 40) if F.is_square(bad.rhs(F(v)))]
         assert any(not bad.scalar_mul(432, bad.lift_x(x)).infinity for x in xs)
         for ell, k in ((2, 2), (3, 1), (3, 3)):

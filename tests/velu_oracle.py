@@ -5,7 +5,8 @@ production formulas it checks.
 """
 
 from sidhlab.field import Fp2, Fp2Field
-from sidhlab.montgomery import FullPoint, MontgomeryCurve
+
+from helpers import FullPoint, ReferenceCurve
 
 
 def to_short_weierstrass(A: Fp2, F: Fp2Field):
@@ -21,7 +22,7 @@ def j_short_weierstrass(a: Fp2, b: Fp2, F: Fp2Field) -> Fp2:
     return F(1728) * num * (num + F(27) * b.sqr()).inv()
 
 
-def velu_isogeny(curve: MontgomeryCurve, gen: FullPoint):
+def velu_isogeny(curve: ReferenceCurve, gen: FullPoint):
     """Velu data for the cyclic kernel <gen> on the Montgomery curve.
 
     Returns (a', b', xmap) where (a', b') is the short-Weierstrass codomain
