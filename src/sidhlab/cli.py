@@ -13,6 +13,7 @@ ValueError: a usage problem, exit 2 with one error line, never a traceback.
 
 from __future__ import annotations
 
+import argparse
 import json
 import multiprocessing
 import random
@@ -20,8 +21,6 @@ import sys
 import time
 from pathlib import Path
 from typing import NamedTuple, Optional
-
-import click
 
 from . import attack as attack_mod
 from . import countermeasure as cm
@@ -44,6 +43,29 @@ from .protocol import (
 )
 
 BUNDLED = ("toy431", "p434")
+
+
+class UsageError(Exception):
+    """A usage or I/O problem: one `Error:` line on stderr and exit status 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Every argument error is a UsageError, reported like any other."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than low."""
+
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}.")
+        return value
+
+    return integer
 
 
 class TrialReport(NamedTuple):
@@ -69,7 +91,7 @@ def _load(params_arg: str) -> SidhParams:
     if params_arg in BUNDLED:
         return bundled_params(params_arg)
     if not Path(params_arg).exists():
-        raise click.UsageError(f"no such parameter set or file: {params_arg}")
+        raise UsageError(f"no such parameter set or file: {params_arg}")
     return _parse_file("parameter", params_arg, loads_params)
 
 
@@ -79,7 +101,7 @@ def _parse_file(kind: str, path: str, loads, *args):
     try:
         return loads(Path(path).read_text(), *args)
     except (OSError, ValueError) as exc:
-        raise click.UsageError(f"bad {kind} file {path}: {exc}")
+        raise UsageError(f"bad {kind} file {path}: {exc}")
 
 
 def _write(path: str, text: str) -> None:
@@ -87,34 +109,18 @@ def _write(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        raise click.UsageError(f"cannot write {path}: {exc}")
+        raise UsageError(f"cannot write {path}: {exc}")
 
 
-@click.group()
-def main():
-    """SIDH + fault-injection laboratory."""
-
-
-@main.group()
-def params():
-    """Parameter-set utilities."""
-
-
-@params.command("gen")
-@click.option("--e2", type=int, required=True)
-@click.option("--e3", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
-@click.option("--name", type=str, default=None)
 def params_gen(e2: int, e3: int, seed: int, out: str, name: Optional[str]):
     """Search a parameter set over p = 2^e2 * 3^e3 - 1 and write it."""
     try:
         ps = param_gen(e2, e3, random.Random(seed), name=name)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     _write(out, dumps_params(ps))
-    click.echo(f"p = {ps.field.p:x}")
-    click.echo(f"wrote {out}")
+    print(f"p = {ps.field.p:x}")
+    print(f"wrote {out}")
 
 
 def _run_trial(args) -> TrialReport:
@@ -157,18 +163,6 @@ def _run_trial(args) -> TrialReport:
 _PARAMS_CACHE: dict = {}
 
 
-@main.command("attack")
-@click.option("--params", "params_arg", type=str, required=True, help="bundled name or file path")
-@click.option("--trials", type=click.IntRange(min=0), required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--json", "json_out", type=click.Path(dir_okay=False), default=None)
-@click.option("--csv", "csv_out", type=click.Path(dir_okay=False), default=None)
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option(
-    "--stable-durations",
-    is_flag=True,
-    help="zero the per-trial durations so equal seeds give byte-identical reports",
-)
 def attack_cmd(params_arg, trials, seed, json_out, csv_out, jobs, stable_durations):
     """Run full key-recovery trials against fresh static keys."""
     _PARAMS_CACHE[params_arg] = _load(params_arg)  # fail fast; the trials and forked workers reuse it
@@ -197,7 +191,7 @@ def attack_cmd(params_arg, trials, seed, json_out, csv_out, jobs, stable_duratio
     if json_out:
         _write(json_out, text)
     else:
-        click.echo(text, nl=False)
+        print(text, end="")
     if csv_out:
         keys = ["param_set", "trials", "successes", "success_rate", "mean_oracle_calls", "mean_duration_s"]
         _write(csv_out, ",".join(keys) + "\n" + ",".join(str(summary[k]) for k in keys) + "\n")
@@ -205,17 +199,6 @@ def attack_cmd(params_arg, trials, seed, json_out, csv_out, jobs, stable_duratio
         sys.exit(1)
 
 
-@main.group()
-def countermeasure():
-    """Countermeasure evaluation."""
-
-
-@countermeasure.command("bench")
-@click.option("--params", "params_arg", type=str, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--trials", type=click.IntRange(min=1), default=20, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--json", "json_out", type=click.Path(dir_okay=False), default=None)
 def countermeasure_bench(params_arg, k, trials, seed, json_out):
     """Measure randomized-pushforward overhead and attack degradation."""
     ps = _load(params_arg)
@@ -223,7 +206,7 @@ def countermeasure_bench(params_arg, k, trials, seed, json_out):
     try:
         cm.masking_degree(ps, cfg)
     except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="'--k'")
+        raise UsageError(f"argument --k: {exc}")
     rng = random.Random(seed)
 
     t_honest = t_masked = 0.0
@@ -269,43 +252,95 @@ def countermeasure_bench(params_arg, k, trials, seed, json_out):
     if json_out:
         _write(json_out, text)
     else:
-        click.echo(text, nl=False)
+        print(text, end="")
     if mismatches:
         sys.exit(1)
 
 
-@main.command("keygen")
-@click.option("--params", "params_arg", type=str, required=True)
-@click.option("--side", type=click.Choice([ALICE, BOB]), required=True)
-@click.option("--sk", type=int, required=True)
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
 def keygen_cmd(params_arg, side, sk, out):
     """Write the public key for a given private scalar."""
     ps = _load(params_arg)
     try:
         pk = keygen(ps, side, sk)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     _write(out, dumps_public_key(ps, side, pk))
-    click.echo(f"wrote {out}")
+    print(f"wrote {out}")
 
 
-@main.command("derive")
-@click.option("--params", "params_arg", type=str, required=True)
-@click.option("--side", type=click.Choice([ALICE, BOB]), required=True)
-@click.option("--sk", type=int, required=True)
-@click.option("--pk", "pk_path", type=click.Path(exists=True, dir_okay=False), required=True)
 def derive_cmd(params_arg, side, sk, pk_path):
     """Print the shared j-invariant for a private scalar and a peer key."""
     ps = _load(params_arg)
     pk_side, pk = _parse_file("public-key", pk_path, loads_public_key, ps)
     if pk_side == side:
-        raise click.UsageError(f"cannot derive {side} against a {pk_side} public key")
+        raise UsageError(f"cannot derive {side} against a {pk_side} public key")
     try:
         j = derive(ps, side, sk, pk)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
-    click.echo(ps.field.encode(j))
+        raise UsageError(str(exc))
+    print(ps.field.encode(j))
+
+
+def _parser() -> _Parser:
+    """The command line; each command's options are its function's keyword arguments."""
+    top = _Parser(prog="sidhlab", description="SIDH + fault-injection laboratory.", allow_abbrev=False)
+    commands = top.add_subparsers(metavar="COMMAND", required=True)
+
+    def group(name, doc):
+        parser = commands.add_parser(name, help=doc, description=doc)
+        return parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(parent, name, run):
+        cmd = parent.add_parser(name, help=run.__doc__, description=run.__doc__, allow_abbrev=False)
+        cmd.set_defaults(run=run)
+        return cmd
+
+    cmd = command(group("params", "Parameter-set utilities."), "gen", params_gen)
+    cmd.add_argument("--e2", type=int, required=True)
+    cmd.add_argument("--e3", type=int, required=True)
+    cmd.add_argument("--seed", type=int, default=0, help="default: %(default)s")
+    cmd.add_argument("--out", required=True)
+    cmd.add_argument("--name")
+
+    cmd = command(commands, "attack", attack_cmd)
+    cmd.add_argument("--params", dest="params_arg", required=True, help="bundled name or file path")
+    cmd.add_argument("--trials", type=_int_at_least(0), required=True)
+    cmd.add_argument("--seed", type=int, default=0, help="default: %(default)s")
+    cmd.add_argument("--json", dest="json_out")
+    cmd.add_argument("--csv", dest="csv_out")
+    cmd.add_argument("--jobs", type=_int_at_least(1), default=1, help="default: %(default)s")
+    stable = "zero the per-trial durations so equal seeds give byte-identical reports"
+    cmd.add_argument("--stable-durations", action="store_true", help=stable)
+
+    cmd = command(group("countermeasure", "Countermeasure evaluation."), "bench", countermeasure_bench)
+    cmd.add_argument("--params", dest="params_arg", required=True)
+    cmd.add_argument("--k", type=int, required=True)
+    cmd.add_argument("--trials", type=_int_at_least(1), default=20, help="default: %(default)s")
+    cmd.add_argument("--seed", type=int, default=0, help="default: %(default)s")
+    cmd.add_argument("--json", dest="json_out")
+
+    file_options = (("keygen", keygen_cmd, "--out", "out"), ("derive", derive_cmd, "--pk", "pk_path"))
+    for name, run, path, dest in file_options:
+        cmd = command(commands, name, run)
+        cmd.add_argument("--params", dest="params_arg", required=True)
+        cmd.add_argument("--side", choices=[ALICE, BOB], required=True)
+        cmd.add_argument("--sk", type=int, required=True)
+        cmd.add_argument(path, dest=dest, required=True)
+    return top
+
+
+def main(args=None, standalone_mode: bool = True) -> None:
+    """Run the sidhlab command in args (sys.argv[1:] when None).  A usage
+    error prints one `Error:` line on stderr and exits 2; with
+    standalone_mode false it raises UsageError instead."""
+    try:
+        options = vars(_parser().parse_args(args))
+        options.pop("run")(**options)
+    except UsageError as exc:
+        if not standalone_mode:
+            raise
+        print(f"Error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

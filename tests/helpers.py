@@ -9,10 +9,13 @@ kernels from three binary ladders over the pushed-back forged triple; for
 get_a, the sum/product relation for x(P +- Q); for the int kernels and the
 chain walker, the x-only formulas on Fp2 objects, a walker that checks every
 kernel, and the 2^k masking walk as it stood before it ran on the chain
-walker; and an e3 = 1 parameter file that nothing may load.
+walker; an e3 = 1 parameter file that nothing may load; and CliRunner, which
+runs the command line in-process and captures what it prints.
 """
 
+import contextlib
 import functools
+import io
 import random
 from typing import NamedTuple, Optional
 
@@ -510,3 +513,44 @@ xPB=19,00
 xQB=29,00
 xDB=0a,01
 """
+
+
+class CliResult(NamedTuple):
+    """What one in-process run of the command line did."""
+
+    output: str  # stdout and stderr, interleaved as they were written
+    stdout: str
+    exit_code: int
+    exception: Optional[BaseException]
+
+
+class _Tee(io.StringIO):
+    """A captured stream that also copies what it is given into shared."""
+
+    def __init__(self, shared: io.StringIO):
+        super().__init__()
+        self.shared = shared
+
+    def write(self, text: str) -> int:
+        self.shared.write(text)
+        return super().write(text)
+
+
+class CliRunner:
+    """Runs main(args) with stdout and stderr captured.  A nonzero
+    SystemExit is both the exit code and the exception; any other
+    exception is exit code 1."""
+
+    def invoke(self, main, args) -> CliResult:
+        output = io.StringIO()
+        stdout = _Tee(output)
+        exit_code, exception = 0, None
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(output):
+            try:
+                main(args)
+            except SystemExit as exc:
+                exit_code = exc.code or 0
+                exception = exc if exit_code else None
+            except Exception as exc:
+                exit_code, exception = 1, exc
+        return CliResult(output.getvalue(), stdout.getvalue(), exit_code, exception)

@@ -60,13 +60,7 @@ class TestForge:
     def test_auxiliary_point_independence(self, toy):
         """T never shares its order-3 subgroup with phi(Q): the two
         backtracking directions stay distinct (rejection rule)."""
-        from sidhlab.montgomery import (
-            MontgomeryCurve,
-            coeff_from_a,
-            ladder3pt,
-            xpoint_from_affine,
-            xtpl_e,
-        )
+        from sidhlab.montgomery import coeff_from_a, ladder3pt, xpoint_from_affine, xtpl_e
         from sidhlab.protocol import get_a
 
         F = toy.field

@@ -3,11 +3,10 @@ import json
 import time
 
 import pytest
-from click.testing import CliRunner
 
 from sidhlab.cli import main
 
-from helpers import P47_TEXT
+from helpers import P47_TEXT, CliRunner
 
 
 @pytest.fixture

@@ -1,9 +1,10 @@
 """The package's import layering, read from the source with ast.
 
 Each module imports only from the layers below it, only public names cross
-a module boundary, every import sits at module level, and no module, in the
-package or among the tests, imports a name it never uses.  Importing the
-package does not load dataclasses, an import every short run would pay for.
+a module boundary, every import sits at module level, and no module or
+function, in the package or among the tests, imports a name it never uses.
+Importing the package loads nothing from outside the standard library, and
+not dataclasses, an import every short run would pay for.
 """
 
 import ast
@@ -112,29 +113,45 @@ def test_imports_sit_at_module_level(path):
     assert not nested
 
 
-@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: f"{p.parent.name}/{p.stem}")
-def test_every_import_is_used(path):
-    """Each name a module-level import binds is read in the module or
-    listed in its __all__."""
-    tree = _tree(path)
+def _bound(nodes):
+    """The names the imports among nodes bind."""
     bound = set()
-    exported = set()
-    for node in tree.body:
+    for node in nodes:
         if isinstance(node, ast.Import):
             bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound |= {alias.asname or alias.name for alias in node.names}
-        elif isinstance(node, ast.Assign) and any(
+    return bound
+
+
+def _read(tree):
+    """The names read anywhere in tree."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_every_import_is_used(path):
+    """Each name a module-level import binds is read in the module or
+    listed in its __all__, and each name an import inside a function binds
+    is read in that function."""
+    tree = _tree(path)
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
             exported |= set(ast.literal_eval(node.value))
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = sorted(bound - used - exported)
+    unused = sorted(_bound(tree.body) - _read(tree) - exported)
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            unused += sorted(f"{fn.name}:{name}" for name in _bound(ast.walk(fn)) - _read(fn))
     assert not unused
 
 
 def test_import_leaves_out_dataclasses():
-    """What importing the top modules adds to a fresh interpreter's modules."""
+    """What importing the top modules adds to a fresh interpreter's modules:
+    sidhlab's own, the standard library's (not dataclasses), and the
+    __mp_main__ alias that multiprocessing registers."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -147,3 +164,9 @@ def test_import_leaves_out_dataclasses():
     ).stdout.split()
     assert "sidhlab.cli" in added
     assert "dataclasses" not in added
+    outside = [
+        name
+        for name in added
+        if name.partition(".")[0] not in {"sidhlab", "__mp_main__", *sys.stdlib_module_names}
+    ]
+    assert not outside
