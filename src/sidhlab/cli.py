@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 from . import attack as attack_mod
 from . import countermeasure as cm
-from .faultsim import make_oracle, oracle_randomized
+from .faultsim import make_oracle, oracle
 from .field import SidhlabInputError
 from .montgomery import xpoint_in_fp
 from .protocol import (
@@ -236,7 +236,7 @@ def countermeasure_bench(params_arg, k, trials, seed, json_out):
         if not xpoint_in_fp(cands[(skb // 3**i) % 3]):
             continue  # only instances whose unmasked verdict is 1 are informative
         total += 1
-        hits += oracle_randomized(ps, skb, forged.pk, i, cfg, rng)
+        hits += oracle(ps, skb, forged.pk, i, cfg, rng).bit
 
     out = {
         "param_set": ps.name,

@@ -9,8 +9,8 @@
 
 Both 2^k walks, rho and its dual, run on isogeny.strategy_eval2, the secret
 3-chain between them on protocol.secret_isogeny; sampling retries until the
-two sampled points span the 2^k-torsion.  The fault oracle against the masked
-responder lives in faultsim, and masking_degree checks k for both.
+two sampled points span the 2^k-torsion.  The fault oracle, masked or not,
+lives in faultsim, and masking_degree checks k for it and for the derive.
 """
 
 from __future__ import annotations

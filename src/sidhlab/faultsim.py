@@ -1,14 +1,14 @@
-"""The fault oracles: run the victim's derive, plain (oracle) or masked by the
-randomized pushforward (oracle_randomized), with one injected coefficient
-zeroing and report whether the chain still looks supersingular.  Both run
-the victim's chain on protocol.secret_isogeny with the fault as a row index.
+"""The fault oracle: run the victim's derive, plain or masked by the
+randomized pushforward, with one injected coefficient zeroing and report
+whether the chain still looks supersingular.  The victim's chain runs on
+protocol.secret_isogeny with the fault as a row index.
 
 The verdict combines (a) the per-step kernel order checks the chain evaluator
 already performs (a faulted coefficient outside GF(p) derails the very next
 kernel) and (b) a final-curve spot check that three random on-curve points
 are annihilated by p + 1.  Honest GF(p)-coefficient faults are literal
 no-ops, so the whole run, including the final j-invariant, is unchanged.
-Both oracles map every malformed public key to bit 0 by catching
+The oracle maps every malformed public key to bit 0 by catching
 SidhlabInputError; a plain ValueError (an out-of-range i, sk or masking
 degree) propagates, checked before the public key is read.
 """
@@ -59,54 +59,39 @@ def oracle(
     sk_bob: int,
     pk: PublicKey,
     i: int,
+    config: PushforwardConfig = PushforwardConfig(0),
+    rng: Optional[random.Random] = None,
     keep_trace: bool = False,
 ) -> OracleVerdict:
     """O_sk(pk, i): victim derive with the (i+1)-th 3-isogeny output
-    coefficient's imaginary parts zeroed.
+    coefficient's imaginary parts zeroed.  With config.k > 0 the victim runs
+    the randomized pushforward: the fault hits the 3-chain from the curve a
+    random 2^k-isogeny reaches.
 
     Every malformed pk maps to bit 0 with failure_step -1; only an
-    out-of-range i (and, from derive, an out-of-range sk) is rejected.
-    Deterministic: the spot-check randomness is derived from (pk, i).
+    out-of-range i, k or sk is rejected.  The masking kernel and the
+    spot-check points are drawn from rng; rng=None derives it from (pk, i),
+    which makes the verdict deterministic.
     """
-    _check_fault_index(params, i)
-    try:
-        final, trace = derive_with_trace(params, BOB, sk_bob, pk, i)
-    except SidhlabInputError:
-        return OracleVerdict(bit=0, failure_step=-1)
-    bit, failure_step = _verdict(params, final, trace, random.Random(_spot_seed(params, pk, i)))
-    return OracleVerdict(bit, failure_step, trace if keep_trace else None)
-
-
-def oracle_randomized(
-    params: SidhParams,
-    sk: int,
-    pk: PublicKey,
-    i: int,
-    config: PushforwardConfig,
-    rng: random.Random,
-) -> int:
-    """The fault oracle's bit against a responder running the randomized
-    pushforward: the fault hits the masked 3-chain, and the masking kernel
-    and the spot-check points are drawn from rng.  Used to measure how the
-    masking degrades the forger's success rate."""
-    _check_fault_index(params, i)
-    k, F = masking_degree(params, config), params.field
-    check_sk(params, BOB, sk)
-    try:
-        coeff, *triple = chain_inputs(pk, F)
-        E_A = MontgomeryCurve(affine_a_from_projective(coeff), F)
-        if k > 0:
-            coeff, triple, mask = strategy_eval2(sample_torsion_x(params, E_A, 2, k, rng), coeff, k, triple, F)
-            mask.require_completed("masking walk")
-    except SidhlabInputError:
-        return 0
-    final, _, trace = secret_isogeny(params, BOB, sk, coeff, triple, (), i)
-    return _verdict(params, final, trace, rng)[0]
-
-
-def _check_fault_index(params: SidhParams, i: int) -> None:
     if not 0 <= i <= params.e3 - 2:
         raise ValueError(f"fault index {i} outside [0, e3 - 2]")
+    k, F = masking_degree(params, config), params.field
+    check_sk(params, BOB, sk_bob)
+    if rng is None:
+        rng = random.Random(_spot_seed(params, pk, i))
+    try:
+        if k == 0:
+            final, trace = derive_with_trace(params, BOB, sk_bob, pk, i)
+        else:
+            coeff, *triple = chain_inputs(pk, F)
+            E_A = MontgomeryCurve(affine_a_from_projective(coeff), F)
+            coeff, triple, mask = strategy_eval2(sample_torsion_x(params, E_A, 2, k, rng), coeff, k, triple, F)
+            mask.require_completed("masking walk")
+            final, _, trace = secret_isogeny(params, BOB, sk_bob, coeff, triple, (), i)
+    except SidhlabInputError:
+        return OracleVerdict(bit=0, failure_step=-1)
+    bit, failure_step = _verdict(params, final, trace, rng)
+    return OracleVerdict(bit, failure_step, trace if keep_trace else None)
 
 
 def _verdict(params: SidhParams, final: ProjCoeff, trace: ChainTrace, rng: random.Random) -> tuple:

@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 from sidhlab import SidhlabInputError, countermeasure, faultsim
 from sidhlab.attack import PrefixWalk, forge_public_keys
 from sidhlab.countermeasure import PushforwardConfig, derive_bob_randomized
-from sidhlab.faultsim import oracle, oracle_randomized
+from sidhlab.faultsim import oracle
 from sidhlab.isogeny import DegenerateChainError, strategy_eval2, strategy_eval3, strategy_eval4
 from sidhlab.montgomery import (
     MontgomeryCurve,
@@ -158,7 +158,7 @@ def check_masking_walks(monkeypatch, params):
 @pytest.mark.parametrize("name", ["toy431", "mid"])
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_masked_chains(name, k, toy, mid):
-    """The chains oracle_randomized runs: the forged key pushed through a
+    """The chains the masked oracle runs: the forged key pushed through a
     random 2^k-isogeny, then the faulted 3-chain."""
     params = {"toy431": toy, "mid": mid}[name]
     F = params.field
@@ -199,7 +199,7 @@ def test_random_and_edited_keys(name, examples, monkeypatch):
     @given(public_keys(name), st.integers(0, ps.e3 - 2))
     def check(pk, i):
         for k in (1, 2):
-            oracle_randomized(ps, sk, pk, i, PushforwardConfig(k), random.Random(i))
+            oracle(ps, sk, pk, i, PushforwardConfig(k), random.Random(i))
         try:
             kernel, coeff, _ = keyed_chain(ps, BOB, sk, pk)
             alice = keyed_chain(ps, ALICE, ska, pk)

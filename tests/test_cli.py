@@ -466,7 +466,7 @@ class TestStandingGuards:
             "trials": 20,
         }
 
-    @pytest.mark.parametrize("k, hits, total", [(1, 11, 11), (4, 6, 12)])
+    @pytest.mark.parametrize("k, hits, total", [(0, 11, 11), (1, 11, 11), (4, 6, 12)])
     def test_toy431_countermeasure_bench_at_other_degrees(self, runner, k, hits, total):
         assert self._bench(runner, k) == {
             "derive_mismatches": 0,

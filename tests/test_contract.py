@@ -1,8 +1,9 @@
 """The error contract for untrusted input, fuzzed at toy431 and at p434.
 
-The loaders return or raise SidhlabInputError, and nothing else.  Both fault
-oracles answer every public key, malformed or not, with a bit.  A plain
-ValueError stays the caller's error and is not folded into the family.
+The loaders return or raise SidhlabInputError, and nothing else.  The fault
+oracle, plain or masked, answers every public key, malformed or not, with a
+bit.  A plain ValueError stays the caller's error and is not folded into the
+family.
 """
 
 import random
@@ -12,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from sidhlab import SidhlabInputError
 from sidhlab.countermeasure import PushforwardConfig, derive_bob_randomized
-from sidhlab.faultsim import oracle, oracle_randomized
+from sidhlab.faultsim import oracle
 from sidhlab.field import Fp2Field
 from sidhlab.protocol import (
     ALICE,
@@ -131,20 +132,20 @@ class TestOraclesAnswerEveryKey:
             assert oracle(ps, sk, pk, i).bit in (0, 1)
             rng = random.Random(seed)
             for k in (0, 1, 2):
-                assert oracle_randomized(ps, sk, pk, i, PushforwardConfig(k), rng) in (0, 1)
+                assert oracle(ps, sk, pk, i, PushforwardConfig(k), rng).bit in (0, 1)
 
         check()
 
     def test_out_of_range_sk_stays_a_caller_error(self, toy):
-        """In both oracles and in the masked derive, checked before the pk is
-        read: a malformed pk does not hide it."""
+        """In the oracle, plain and masked, and in the masked derive, checked
+        before the pk is read: a malformed pk does not hide it."""
         F = toy.field
         cfg, rng = PushforwardConfig(2), random.Random(0)
         for pk in (setting("toy431")[2], PublicKey(F.zero, F.zero, F.zero)):
             for sk in (3**toy.e3, 5 + 3**toy.e3, -1):
                 for call in (
                     lambda: oracle(toy, sk, pk, 0),
-                    lambda: oracle_randomized(toy, sk, pk, 0, cfg, rng),
+                    lambda: oracle(toy, sk, pk, 0, cfg, rng),
                     lambda: derive_bob_randomized(toy, sk, pk, cfg, rng),
                 ):
                     with pytest.raises(ValueError, match="private scalar out of range") as info:

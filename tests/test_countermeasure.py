@@ -15,7 +15,7 @@ from sidhlab.countermeasure import (
     derive_bob_naive_reject,
     derive_bob_randomized,
 )
-from sidhlab.faultsim import oracle_randomized
+from sidhlab.faultsim import oracle
 from sidhlab.field import SidhlabInputError
 from sidhlab.isogeny import DegenerateChainError, StrategyError, strategy_eval2, xeval2_int, xisog2_int
 from sidhlab.montgomery import (
@@ -122,7 +122,7 @@ class TestRandomizedPushforward:
             cfg = PushforwardConfig(k)
             for call in (
                 lambda: derive_bob_randomized(toy, 5, pka, cfg, rng),
-                lambda: oracle_randomized(toy, 5, forged.pk, 1, cfg, rng),
+                lambda: oracle(toy, 5, forged.pk, 1, cfg, rng),
             ):
                 with pytest.raises(ValueError, match="outside") as info:
                     call()
@@ -153,9 +153,9 @@ class TestRandomizedPushforward:
                 continue
             total += 1
             for k in (0, 2):
-                hits[k] += oracle_randomized(
+                hits[k] += oracle(
                     toy, sk, forged.pk, i, PushforwardConfig(k), random.Random(trial)
-                )
+                ).bit
         assert total >= 10
         assert hits[0] == total          # unmasked: always 1
         assert hits[2] < total           # masked: strictly degraded

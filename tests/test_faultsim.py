@@ -8,7 +8,6 @@ from sidhlab.faultsim import (
     dump_chain_trace,
     make_oracle,
     oracle,
-    oracle_randomized,
 )
 from sidhlab.montgomery import affine_a_from_projective, coeff_in_fp
 from sidhlab.protocol import BOB, PublicKey, derive_with_trace, get_a, j_invariant, keygen
@@ -40,13 +39,15 @@ class TestOracleContract:
     @pytest.mark.parametrize("x", [1, -1])
     def test_singular_curve_pk_maps_to_zero_under_masking(self, toy, x):
         """x(P) = x(Q) = +-1 recovers A = -+2, a singular curve: bit 0 at
-        every masking degree, as from the unmasked oracle."""
+        every masking degree, as from the unmasked oracle.  Masked, it is a
+        rejected key (failure_step -1): there is no curve to mask on."""
         F = toy.field
         pk = PublicKey(F(x), F(x), F(5))
         assert get_a(pk, F) == F(-2 * x)
         assert oracle(toy, 5, pk, 0).bit == 0
         for k in (0, 1, 2):
-            assert oracle_randomized(toy, 5, pk, 0, PushforwardConfig(k), random.Random(k)) == 0
+            v = oracle(toy, 5, pk, 0, PushforwardConfig(k), random.Random(k))
+            assert v.bit == 0 and (k == 0 or v.failure_step == -1)
 
     def test_random_triples_give_a_bit_at_every_masking_degree(self, toy):
         """Random triples are almost all malformed keys (no supersingular
@@ -59,12 +60,13 @@ class TestOracleContract:
         for pk in pks:
             assert oracle(toy, 5, pk, 0).bit in (0, 1)
             for k in (0, 1, 2):
-                assert oracle_randomized(toy, 5, pk, 0, PushforwardConfig(k), rng) in (0, 1)
+                assert oracle(toy, 5, pk, 0, PushforwardConfig(k), rng).bit in (0, 1)
 
-    def test_deterministic(self, toy, rng):
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_deterministic(self, toy, rng, k):
         forged = forge_public_keys(prefix_walk(toy, 2, 1), rng)
-        a = oracle(toy, 5, forged.pk, 1)
-        b = oracle(toy, 5, forged.pk, 1)
+        a = oracle(toy, 5, forged.pk, 1, PushforwardConfig(k))
+        b = oracle(toy, 5, forged.pk, 1, PushforwardConfig(k))
         assert a.bit == b.bit and a.failure_step == b.failure_step
 
     def test_make_oracle_returns_bits(self, toy, rng):
