@@ -11,6 +11,28 @@ no-ops, so the whole run, including the final j-invariant, is unchanged.
 The oracle maps every malformed public key to bit 0 by catching
 SidhlabInputError; a plain ValueError (an out-of-range i, sk or masking
 degree) propagates, checked before the public key is read.
+
+The spot check always makes its draws, but it multiplies the drawn points
+only when the chain has not already proven the final curve's group.  A chain
+proves it when it completed, no fault moved its curve, and some row's
+coefficient is (8 : 4), the A = 6 curve E_0; every bit-1 query that the
+attack makes of the unmasked oracle gives such a chain.  Three facts make
+this exact:
+
+  * E_0 has E(F_{p^2}) = E[p + 1].  With p = 3 (mod 4) it is supersingular
+    (2-isogenous to y^2 = x^3 + x), so its GF(p) Frobenius pi has trace 0
+    and pi^2 = [-p]: the p^2-power Frobenius fixes exactly E[p + 1].
+  * Such a chain is a chain of F_{p^2}-rational 3-isogenies from E_0 (the
+    argument in isogeny's module docstring: every kernel it takes has exact
+    order 3, and a no-op fault leaves the curve where it was).  An isogeny
+    commutes with Frobenius, so the final curve's p^2-power Frobenius is
+    [-p] as well, and its group is E[p + 1].
+  * On a non-singular curve, xDBL and xTPL from an affine x != 0 never reach
+    (0 : 0), so the x-only clearing of every drawn point ends at infinity.
+
+So on such a chain the full check would find each of the three drawn points
+at infinity, and the verdict is whether three on-curve x came up within the
+try budget, from the same draws.
 """
 
 from __future__ import annotations
@@ -37,12 +59,14 @@ from .protocol import (
     chain_inputs,
     check_sk,
     cleared_points,
+    curve_x_draws,
     derive_with_trace,
     sample_torsion_x,
     secret_isogeny,
 )
 
 SPOT_CHECK_POINTS = 3
+SPOT_CHECK_TRIES = 100 * SPOT_CHECK_POINTS
 
 
 class OracleVerdict(NamedTuple):
@@ -99,9 +123,21 @@ def _verdict(params: SidhParams, final: ProjCoeff, trace: ChainTrace, rng: rando
     failed its order check; otherwise the spot check on the final curve."""
     if not trace.completed:
         return 0, trace.degenerate_at
-    if _supersingular_spot_check(params, final, rng):
+    if _supersingular_spot_check(params, final, rng, _order_known(trace)):
         return 1, None
     return 0, params.e3
+
+
+def _order_known(trace: ChainTrace) -> bool:
+    """True for a completed chain that no fault moved and that has a row on
+    A = 6, i.e. (alpha : beta) = (8 : 4): alpha = 2 beta with beta != 0.
+    Its final curve's group is E[p + 1] (the module docstring gives the
+    argument)."""
+    return (
+        trace.completed
+        and not trace.fault_moved_curve
+        and any(not c.beta.is_zero() and c.alpha == c.beta + c.beta for c in trace.coeffs)
+    )
 
 
 def make_oracle(params: SidhParams, sk_bob: int) -> Callable[[PublicKey, int], int]:
@@ -119,14 +155,26 @@ def _spot_seed(params: SidhParams, pk: PublicKey, i: int) -> int:
     return int.from_bytes(hashlib.sha256(material.encode()).digest()[:8], "big")
 
 
-def _supersingular_spot_check(params: SidhParams, coeff, rng: random.Random) -> bool:
-    """Sample on-curve points and require [p+1]P = [2^e2][3^e3]P = infinity."""
+def _supersingular_spot_check(
+    params: SidhParams, coeff: ProjCoeff, rng: random.Random, order_known: bool = False
+) -> bool:
+    """Draw SPOT_CHECK_POINTS on-curve points within SPOT_CHECK_TRIES draws
+    and require [p+1]P = [2^e2][3^e3]P = infinity for each.
+
+    With order_known, the caller has proven that the curve's group is
+    E[p + 1] (a completed, unmoved chain through A = 6; the module docstring
+    gives the three facts).  Then each multiple is infinity, so the check
+    makes the same draws and returns whether SPOT_CHECK_POINTS came up,
+    without multiplying: the same bool, and the rng left in the same state."""
     F = params.field
     try:  # alpha = beta, or a singular curve
         E = MontgomeryCurve(affine_a_from_projective(coeff), F)
     except SidhlabInputError:
         return False
-    points = cleared_points(E, params.e2, params.e3, rng, 100 * SPOT_CHECK_POINTS)
+    if order_known:
+        drawn = islice(curve_x_draws(E, rng, SPOT_CHECK_TRIES), SPOT_CHECK_POINTS)
+        return sum(1 for _ in drawn) == SPOT_CHECK_POINTS
+    points = cleared_points(E, params.e2, params.e3, rng, SPOT_CHECK_TRIES)
     checked = 0
     for pt in islice(points, SPOT_CHECK_POINTS):
         if not pt.is_infinity():

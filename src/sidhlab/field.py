@@ -224,7 +224,9 @@ class Fp2Field:
     # --- squares ------------------------------------------------------------
 
     def is_square(self, x: Fp2) -> bool:
-        """True iff x = y^2 for some y in GF(p^2) (norm-based Euler test)."""
+        """True iff x = y^2 for some y in GF(p^2): x is a square exactly when
+        its norm re^2 + im^2 is one in GF(p), and _legendre tells that from
+        the norm's Jacobi symbol."""
         if x.is_zero():
             return True
         # norm = 0 with x != 0 cannot happen: -1 is a non-square in GF(p)

@@ -51,7 +51,8 @@ cannot fail:
     oracle.
 
 A fault that moves the curve breaks the induction at the faulted row, so
-those runs check every row after it.  A singular start checks every row,
+those runs check every row after it; ChainTrace.fault_moved_curve records
+which case a run was in.  A singular start checks every row,
 so that the rule rests on the argument for non-singular curves alone.  The
 clause changes no outcome: alpha = beta fails row 0 for every point, and
 the non-singular points of the nodal curves A = +-2 form a group that the
@@ -88,13 +89,15 @@ class IsogenyStep(NamedTuple):
 
 class ChainTrace:
     """Per-run record: coefficients E_0..E_e (post-fault values included),
-    each step's kernel x-point, and where (if anywhere) the chain went bad."""
+    each step's kernel x-point, where (if anywhere) the chain went bad, and
+    whether the fault moved the curve (alpha * beta' != alpha' * beta)."""
 
     def __init__(self, coeffs: list) -> None:
         self.coeffs = coeffs
         self.kernels: list = []
         self.degenerate_at: Optional[int] = None
         self.fault_fired_at: Optional[int] = None
+        self.fault_moved_curve = False
 
     @property
     def completed(self) -> bool:
@@ -376,7 +379,8 @@ def _walk(R, coeff, strategy, push_points, fault_at, mul_e, per_leaf, has_order,
         if row == fault_at:
             coeff = zero_imaginary_parts(coeff)
             C, honest_C = coeff_ints(coeff), C
-            check_every_row = check_every_row or not _same_curve(honest_C, C, p)
+            trace.fault_moved_curve = not _same_curve(honest_C, C, p)
+            check_every_row = check_every_row or trace.fault_moved_curve
             trace.fault_fired_at = row
         trace.coeffs.append(coeff)
         if stack:

@@ -189,17 +189,22 @@ def chain_inputs(pk: PublicKey, field: Fp2Field) -> tuple[ProjCoeff, XPoint, XPo
     return (coeff,) + tuple(xpoint_from_affine(x, field) for x in (pk.xP, pk.xQ, pk.xPQ))
 
 
+def curve_x_draws(curve: MontgomeryCurve, rng: random.Random, tries: int) -> Iterator[Fp2]:
+    """Random x that are nonzero and on the curve, not its twist, in the
+    order drawn.  Every draw counts against tries, skipped ones too."""
+    F = curve.field
+    for _ in range(tries):
+        x = F.random_element(rng)
+        if not x.is_zero() and F.is_square(curve.rhs(x)):
+            yield x
+
+
 def cleared_points(
     curve: MontgomeryCurve, e2: int, e3: int, rng: random.Random, tries: int
 ) -> Iterator[XPoint]:
-    """[2^e2][3^e3]P for random points P on the curve, one per draw of x
-    that is nonzero and on the curve, not its twist.  Every draw counts
-    against tries, skipped ones too."""
+    """[2^e2][3^e3]P for the points P that curve_x_draws yields."""
     F, coeff = curve.field, curve.coeff()
-    for _ in range(tries):
-        x = F.random_element(rng)
-        if x.is_zero() or not F.is_square(curve.rhs(x)):
-            continue
+    for x in curve_x_draws(curve, rng, tries):
         yield xtpl_e(xdbl_e(xpoint_from_affine(x, F), coeff, e2), coeff, e3)
 
 

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from sidhlab.attack import forge_public_keys, prefix_walk
+from sidhlab import faultsim
+from sidhlab.attack import forge_public_keys, prefix_walk, recover_key
 from sidhlab.countermeasure import PushforwardConfig
 from sidhlab.faultsim import (
     dump_chain_trace,
@@ -10,7 +11,16 @@ from sidhlab.faultsim import (
     oracle,
 )
 from sidhlab.montgomery import affine_a_from_projective, coeff_in_fp
-from sidhlab.protocol import BOB, PublicKey, derive_with_trace, get_a, j_invariant, keygen
+from sidhlab.protocol import (
+    ALICE,
+    BOB,
+    PublicKey,
+    derive_with_trace,
+    get_a,
+    j_invariant,
+    keygen,
+    secret_isogeny,
+)
 
 from helpers import debug_assert_forced_curve, public_basis
 
@@ -119,6 +129,110 @@ class TestOracleSoundness:
                 assert j_fault == j_base
                 checked += 1
         assert checked > 10
+
+
+class TestSpotCheckShortPath:
+    """A completed chain that no fault moved and that passes A = 6 proves the
+    final curve's group E[p + 1]; the spot check then only draws."""
+
+    @pytest.mark.parametrize("name", ["toy", "mid"])
+    def test_short_path_matches_full_path(self, request, name):
+        """On every final curve of a completed, unmoved chain (each forged
+        curve is supersingular, so masked chains qualify too), both paths
+        give the same bool and leave the rng in the same state.  Every
+        unmasked forged query takes the short path."""
+        params = request.getfixturevalue(name)
+        rng = random.Random(48)
+        compared = {0: 0, 1: 0, 2: 0}
+        for sk in (5, 17):
+            for i in range(params.e3 - 1):
+                forged = forge_public_keys(prefix_walk(params, sk % 3**i, i), rng)
+                for pk in (forged.pk, forged.pk_second):
+                    for k in (0, 1, 2):
+                        v = oracle(params, sk, pk, i, PushforwardConfig(k), random.Random(k), keep_trace=True)
+                        trace = v.trace
+                        if k == 0:
+                            assert faultsim._order_known(trace) == (v.failure_step is None)
+                        if not trace.completed or trace.fault_moved_curve:
+                            continue
+                        runs = []
+                        for known in (False, True):
+                            r = random.Random(i)
+                            ok = faultsim._supersingular_spot_check(params, trace.coeffs[-1], r, known)
+                            runs.append((ok, r.random()))
+                        assert runs[0] == runs[1] and runs[0][0], (sk, i, k)
+                        compared[k] += 1
+        assert all(compared.values()), compared
+
+    def test_full_path_for_a_fault_that_moved_the_curve(self, toy, monkeypatch):
+        """A fault on the last row of a chain from A = 6 can move the curve
+        to a non-singular one that is not supersingular, and the chain still
+        completes: the full check runs and refuses the curve, where drawing
+        alone would have passed it."""
+        cleared = _count_cleared_points(monkeypatch)
+        triple = toy.basis_xpoints(BOB)
+        for sk in toy.sk_range(BOB):
+            final, _, trace = secret_isogeny(toy, BOB, sk, toy.coeff0, triple, (), toy.e3 - 1)
+            singular = final.alpha.is_zero() or final.beta.is_zero() or final.alpha == final.beta
+            if trace.fault_moved_curve and not singular:
+                break
+        else:
+            pytest.fail("no chain whose last row moves to a non-singular curve")
+        assert trace.completed and not faultsim._order_known(trace)
+        assert faultsim._verdict(toy, final, trace, random.Random(1)) == (0, toy.e3)
+        assert len(cleared) == 1
+        assert faultsim._supersingular_spot_check(toy, final, random.Random(1), order_known=True)
+
+    def test_full_path_for_an_honest_key(self, toy, monkeypatch):
+        """An honest Alice key's chains miss A = 6: every completed one gets
+        the full check."""
+        cleared = _count_cleared_points(monkeypatch)
+        pk = keygen(toy, ALICE, 3)
+        traces = [oracle(toy, sk, pk, 0, keep_trace=True).trace for sk in range(1, 9)]
+        completed = [t for t in traces if t.completed]
+        assert completed and not any(faultsim._order_known(t) for t in traces)
+        assert len(cleared) == len(completed)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_full_path_for_a_masked_chain_that_misses_a6(self, toy, monkeypatch, k):
+        """The masking walk moves the victim's 3-chain off the forger's path
+        back to A = 6, so the masked oracle gets the full check."""
+        cleared = _count_cleared_points(monkeypatch)
+        forged = forge_public_keys(prefix_walk(toy, 5 % 3, 1), random.Random(49))
+        v = oracle(toy, 5, forged.pk, 1, PushforwardConfig(k), random.Random(k), keep_trace=True)
+        assert v.trace.completed and not faultsim._order_known(v.trace)
+        assert all(c.alpha != c.beta + c.beta for c in v.trace.coeffs)
+        assert len(cleared) == 1
+
+    def test_recovery_never_clears_a_point(self, toy, monkeypatch):
+        """Every spot check of a toy431 recovery takes the short path: with
+        the clearing loop disabled it returns the same keys and ledgers."""
+
+        def recover(sk, seed):
+            state = recover_key(toy, make_oracle(toy, sk), keygen(toy, BOB, sk), random.Random(seed))
+            return state.sk, state.calls_per_trit
+
+        runs = [(sk, seed) for seed in (1, 2) for sk in toy.sk_range(BOB)]
+        want = [recover(sk, seed) for sk, seed in runs]
+
+        def refuse(*args):
+            raise AssertionError("the spot check cleared a point")
+
+        monkeypatch.setattr(faultsim, "cleared_points", refuse)
+        assert [recover(sk, seed) for sk, seed in runs] == want
+
+
+def _count_cleared_points(monkeypatch) -> list:
+    """Record the curve of every full spot check (faultsim.cleared_points)."""
+    calls = []
+    orig = faultsim.cleared_points
+
+    def counted(curve, *args):
+        calls.append(curve)
+        return orig(curve, *args)
+
+    monkeypatch.setattr(faultsim, "cleared_points", counted)
+    return calls
 
 
 class TestDebugAssert:
