@@ -172,8 +172,8 @@ def _supersingular_spot_check(
     except SidhlabInputError:
         return False
     if order_known:
-        drawn = islice(curve_x_draws(E, rng, SPOT_CHECK_TRIES), SPOT_CHECK_POINTS)
-        return sum(1 for _ in drawn) == SPOT_CHECK_POINTS
+        draws = curve_x_draws(E, lambda: F.random_element(rng), SPOT_CHECK_TRIES)
+        return sum(1 for _ in islice(draws, SPOT_CHECK_POINTS)) == SPOT_CHECK_POINTS
     points = cleared_points(E, params.e2, params.e3, rng, SPOT_CHECK_TRIES)
     checked = 0
     for pt in islice(points, SPOT_CHECK_POINTS):

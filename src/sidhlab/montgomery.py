@@ -1,7 +1,7 @@
 """Montgomery-curve arithmetic: x-only projective kernels, the projective
 curve-coefficient representation the fault model targets, the
-GF(p)-membership predicates, and the two affine steps that parameter
-generation and forging need: a multiple with y-recovery and a chord.
+GF(p)-membership predicates, and the one affine step that parameter
+generation and forging need: a chord.
 
 Curves are B*y^2 = x^3 + A*x^2 + x with B fixed to 1 throughout; x-only
 formulas never involve B, so the twist is handled transparently.
@@ -371,35 +371,6 @@ class MontgomeryCurve:
 
     def rhs(self, x: Fp2) -> Fp2:
         return x * x.sqr() + self.A * x.sqr() + x
-
-    def affine_multiple(self, n: int, x: Fp2, y: Fp2) -> Optional[tuple[Fp2, Fp2]]:
-        """[n]P for P = (x, y) on the curve and n >= 1; None when [n]P is
-        infinity.  A two-point ladder on the x-only kernels gives x([n]P) and
-        x([n+1]P), and Okeya-Sakurai y-recovery (CHES 2001) the y:
-
-            y_n = ((x x_n + 1)(x + x_n + 2A) - 2A - (x - x_n)^2 x_(n+1)) / 2y
-
-        with [n]P = -P, the one case where x_(n+1) is undefined, read off
-        directly.  Requires y != 0: the recovery divides by 2y, and at
-        P = (0, 0) the ladder, whose difference is x(P) = 0, degenerates."""
-        F, p = self.field, self.field.p
-        C = coeff_ints(self.coeff())
-        D = (x.re, x.im, 1, 0)
-        R0, R1 = D, xdbl_int(D, C, p)  # R1 - R0 = P throughout
-        for bit in bin(n)[3:]:
-            if bit == "1":
-                R0, R1 = xadd_int(R0, R1, D, p), xdbl_int(R1, C, p)
-            else:
-                R0, R1 = xdbl_int(R0, C, p), xadd_int(R0, R1, D, p)
-        if not (R0[2] or R0[3]):
-            return None
-        xn = x_affine(xpoint_from_ints(R0, p))
-        if not (R1[2] or R1[3]):
-            return xn, -y
-        x1 = x_affine(xpoint_from_ints(R1, p))
-        A2 = self.A + self.A
-        num = (x * xn + F.one) * (x + xn + A2) - A2 - (x - xn).sqr() * x1
-        return xn, num * (y + y).inv()
 
     def chord_x(self, P: tuple[Fp2, Fp2], Q: tuple[Fp2, Fp2]) -> Fp2:
         """x(P + Q) for affine P = (x_P, y_P) and Q = (x_Q, y_Q) with

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from functools import cache
 from importlib.resources import files
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .field import Fp2, Fp2Field, SidhlabInputError, parse_int
 from .isogeny import (
@@ -37,6 +37,7 @@ from .montgomery import (
     exact_order_multiple_int,
     j_invariant,
     ladder3pt,
+    point_ints,
     x_affine,
     xdbl,
     xdbl_e,
@@ -189,12 +190,12 @@ def chain_inputs(pk: PublicKey, field: Fp2Field) -> tuple[ProjCoeff, XPoint, XPo
     return (coeff,) + tuple(xpoint_from_affine(x, field) for x in (pk.xP, pk.xQ, pk.xPQ))
 
 
-def curve_x_draws(curve: MontgomeryCurve, rng: random.Random, tries: int) -> Iterator[Fp2]:
-    """Random x that are nonzero and on the curve, not its twist, in the
-    order drawn.  Every draw counts against tries, skipped ones too."""
+def curve_x_draws(curve: MontgomeryCurve, draw: Callable[[], Fp2], tries: int) -> Iterator[Fp2]:
+    """The x = draw() that are nonzero and on the curve, not its twist, in
+    the order drawn.  Every draw counts against tries, skipped ones too."""
     F = curve.field
     for _ in range(tries):
-        x = F.random_element(rng)
+        x = draw()
         if not x.is_zero() and F.is_square(curve.rhs(x)):
             yield x
 
@@ -202,9 +203,10 @@ def curve_x_draws(curve: MontgomeryCurve, rng: random.Random, tries: int) -> Ite
 def cleared_points(
     curve: MontgomeryCurve, e2: int, e3: int, rng: random.Random, tries: int
 ) -> Iterator[XPoint]:
-    """[2^e2][3^e3]P for the points P that curve_x_draws yields."""
+    """[2^e2][3^e3]P for the points P that curve_x_draws yields on uniform
+    GF(p^2) draws."""
     F, coeff = curve.field, curve.coeff()
-    for x in curve_x_draws(curve, rng, tries):
+    for x in curve_x_draws(curve, lambda: F.random_element(rng), tries):
         yield xtpl_e(xdbl_e(xpoint_from_affine(x, F), coeff, e2), coeff, e3)
 
 
@@ -327,44 +329,48 @@ def param_gen(
     E = MontgomeryCurve(F(6), F)
     coeff, p = E.coeff(), F.p
 
-    def basis_point(ell: int, e: int, draw) -> tuple[tuple[Fp2, Fp2], XPoint]:
-        """(P, x([ell^(e-1)]P)) for an affine point P = (x, y) of exact order
-        ell^e, cleared from (x, sqrt(rhs)) with x = draw() on E, not its
-        twist.  A GF(p) draw is never on the twist.  A draw with rhs = 0 is
-        a 2-torsion point: it never clears to exact order ell^e and lies
-        outside affine_multiple's y != 0 precondition, so it is skipped."""
-        mul_e = xdbl_e if ell == 2 else xtpl_e
-        for _ in range(1000):
-            x = draw()
-            rhs = E.rhs(x)
-            if rhs.is_zero() or not F.is_square(rhs):
-                continue
-            P = E.affine_multiple((p + 1) // ell**e, x, F.sqrt(rhs))
-            if P is None:
-                continue
-            below = mul_e(xpoint_from_affine(P[0], F), coeff, e - 1)
-            if not below.is_infinity():
-                return P, below
+    def cleared(x: Fp2, ell: int) -> XPoint:
+        """x([n]P) for x = x(P), n = (p + 1) / ell^e the cofactor of the
+        ell-power torsion."""
+        P = xpoint_from_affine(x, F)
+        return xtpl_e(P, coeff, e3) if ell == 2 else xdbl_e(P, coeff, e2)
+
+    def basis_point(ell: int, e: int, draw) -> tuple[Fp2, Fp2, Fp2]:
+        """(x(P0), x(P), x([ell^(e-1)]P)) for the first P0 on E, x(P0) =
+        draw(), whose multiple P = [n]P0 has exact order ell^e.  A GF(p)
+        draw is never on the twist, and a 2-torsion draw (rhs = 0) never
+        clears to exact order ell^e."""
+        for x in curve_x_draws(E, draw, 1000):
+            P = cleared(x, ell)
+            below = exact_order_multiple_int(point_ints(P), coeff_ints(coeff), ell, e, p)
+            if below is not None:
+                return x, x_affine(P), x_affine(xpoint_from_ints(below, p))
         raise SamplingExhaustedError(f"no point of order {ell**e}")
 
-    def sample_alice(want_zero_below: bool) -> tuple[Fp2, Fp2]:
+    def difference_x(xP0: Fp2, xQ0: Fp2, ell: int) -> Fp2:
+        """x(P - Q) = x([n](P0 - Q0)) for P = [n]P0 and Q = [n]Q0, with
+        P != +-Q: the chord of P0 = (xP0, sqrt(rhs)) and -Q0, cleared."""
+        yP0, yQ0 = F.sqrt(E.rhs(xP0)), F.sqrt(E.rhs(xQ0))
+        return x_affine(cleared(E.chord_x((xP0, yP0), (xQ0, -yQ0)), ell))
+
+    def sample_alice(want_zero_top: bool) -> tuple[Fp2, Fp2]:
         for _ in range(1000):
-            P, below = basis_point(2, e2, lambda: F.random_element(rng))
-            if below.X.is_zero() == want_zero_below:
-                return P
+            x0, x, top = basis_point(2, e2, lambda: F.random_element(rng))
+            if top.is_zero() == want_zero_top:
+                return x0, x
         raise SamplingExhaustedError("no suitable 2-power basis point")
 
-    QA = sample_alice(True)
-    PA = sample_alice(False)
-    xDA = E.chord_x(PA, (QA[0], -QA[1]))  # x(PA - QA)
+    xQA0, xQA = sample_alice(True)
+    xPA0, xPA = sample_alice(False)
+    xDA = difference_x(xPA0, xQA0, 2)
 
     # x(P_B), x(Q_B) in GF(p): the whole multiple tower stays there too
     for _ in range(1000):
-        PB, pb3 = basis_point(3, e3, lambda: F(rng.randrange(p)))
-        QB, qb3 = basis_point(3, e3, lambda: F(rng.randrange(p)))
-        if x_affine(pb3) == x_affine(qb3):
+        xPB0, xPB, pb3 = basis_point(3, e3, lambda: F(rng.randrange(p)))
+        xQB0, xQB, qb3 = basis_point(3, e3, lambda: F(rng.randrange(p)))
+        if pb3 == qb3:
             continue
-        xDB = E.chord_x(PB, (QB[0], -QB[1]))  # x(PB - QB)
+        xDB = difference_x(xPB0, xQB0, 3)
         if xDB.im != 0:
             break
     else:
@@ -373,11 +379,11 @@ def param_gen(
     params = SidhParams(
         name=name or f"p{p.bit_length()}",
         field=F,
-        xPA=PA[0],
-        xQA=QA[0],
+        xPA=xPA,
+        xQA=xQA,
         xDA=xDA,
-        xPB=PB[0],
-        xQB=QB[0],
+        xPB=xPB,
+        xQB=xQB,
         xDB=xDB,
     )
     params.validate()

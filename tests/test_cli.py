@@ -434,6 +434,9 @@ class TestStandingGuards:
         "e2, e3, seed, digest",
         [
             ("4", "3", "1", "5eaff56f8bb69082d88fbee6524637961aa19e7cb00316d28077f1026ab51ec7"),
+            ("2", "3", "1", "3b92c61b52ccc01e9a88a2006d91055e11ae059a8076fac688cb2320b1f0053e"),
+            ("8", "5", "3", "3387710d5cf762e42246ddc90426a59a87c1668614645f51e4ebcfc3df4ceb0b"),
+            ("6", "7", "11", "4433ba09138b0cc28c0b03fb1028881faa16a22e9a526e10766ffc23ca2ba06e"),
             ("4", "13", "413", "4eb435ec37601f5d9ba4971ada0efa411e1da5c2d27b9467994ac1a0c232ba91"),
             ("216", "137", "7", "4048ad8248bda504fe638940833e67129d65f590c9ddc78a91606b73db349703"),
         ],

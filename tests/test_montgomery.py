@@ -233,21 +233,6 @@ class TestFullPoint:
             assert E.chord_x((x1, P.y), (x2, -Q.y)) == D.x
             checked += 1
 
-    def test_affine_multiple(self, F431, E, rng):
-        """The curve's affine multiple against the group law at n = 1, 2, 3,
-        ord - 1 ([n+1]P = O), ord (None) and a random n, on random points
-        with y != 0 and on one point of each order 3, 4, 8, 16 and 27."""
-        points = [sample_point_of_order(E, d, rng) for d in (3, 4, 8, 16, 27)]
-        while len(points) < 40:
-            x = F431.random_element(rng)
-            if F431.is_square(E.rhs(x)) and not E.rhs(x).is_zero():
-                points.append(E.lift_x(x))
-        for P in points:
-            order = min(d for d in range(1, 433) if 432 % d == 0 and E.scalar_mul(d, P).infinity)
-            for n in (1, 2, 3, order - 1, order, rng.randrange(1, 1 << 64)):
-                want = E.scalar_mul(n, P)
-                assert E.affine_multiple(n, P.x, P.y) == (None if want.infinity else (want.x, want.y))
-
     def test_contains(self, F431, E, rng):
         P = sample_point_of_order(E, 16, rng)
         assert on_curve(E, P)

@@ -21,6 +21,7 @@ from sidhlab.protocol import (
     InconsistentPublicKeyError,
     PublicKey,
     bundled_params,
+    curve_x_draws,
     derive,
     derive_with_trace,
     dumps_params,
@@ -219,6 +220,46 @@ class TestGetA:
             if not all(F.is_square(E.rhs(x)) for x in (bad.xP, bad.xQ, bad.xPQ)):
                 unliftable += 1
         assert unliftable > 0
+
+
+class TestCurveXDraws:
+    @staticmethod
+    def _scripted(values):
+        """A draw that hands out values in order, and the list of its calls."""
+        calls, it = [], iter(values)
+
+        def draw():
+            calls.append(next(it))
+            return calls[-1]
+
+        return draw, calls
+
+    def test_yields_the_nonzero_on_curve_draws_in_order(self, toy, rng):
+        """0 and twist x are skipped; a 2-torsion x (rhs = 0) is on the
+        curve and yielded.  With nothing left to yield, the draw is called
+        exactly tries times, the skipped draws included."""
+        F, E = toy.field, start_curve(toy)
+        on, twist = [], []
+        while len(on) < 4 or len(twist) < 3:
+            x = F.random_nonzero(rng)
+            (on if F.is_square(E.rhs(x)) else twist).append(x)
+        two_torsion = next(F(v) for v in range(1, 431) if E.rhs(F(v)).is_zero())
+        script = [F.zero, twist[0], on[0], on[1], twist[1], two_torsion, F.zero, on[2], twist[2], on[3], twist[0]]
+        want = [on[0], on[1], two_torsion, on[2], on[3]]
+        for tries in range(len(script) + 1):
+            draw, calls = self._scripted(script)
+            assert list(curve_x_draws(E, draw, tries)) == [x for x in script[:tries] if x in want]
+            assert calls == script[:tries]
+
+    def test_a_gf_p_draw_is_never_on_the_twist(self, toy, rng):
+        """On A = 6 every nonzero GF(p) x is on the curve: a GF(p)-only draw
+        yields each of its nonzero draws, and only GF(p) x."""
+        F, E = toy.field, start_curve(toy)
+        draw, calls = self._scripted([F(rng.randrange(F.p)) for _ in range(300)])
+        drawn = list(curve_x_draws(E, draw, 300))
+        assert len(calls) == 300
+        assert drawn == [x for x in calls if not x.is_zero()]
+        assert all(x.im == 0 for x in drawn)
 
 
 class TestTorsionSampler:
