@@ -9,8 +9,10 @@ kernels from three binary ladders over the pushed-back forged triple; for
 get_a, the sum/product relation for x(P +- Q); for the int kernels and the
 chain walker, the x-only formulas on Fp2 objects, a walker that checks every
 kernel, and the 2^k masking walk as it stood before it ran on the chain
-walker; an e3 = 1 parameter file that nothing may load; and CliRunner, which
-runs the command line in-process and captures what it prints.
+walker; an e3 = 1 parameter file that nothing may load; CliRunner, which
+runs the command line in-process and captures what it prints; and the
+seeded case generators of the property tests, which put boundary cases
+first and name a failing case, since nothing shrinks it.
 """
 
 import contextlib
@@ -19,7 +21,7 @@ import io
 import random
 from typing import NamedTuple, Optional
 
-from hypothesis import HealthCheck, settings, strategies as st
+import pytest
 
 from sidhlab.attack import OracleContradictionError
 from sidhlab.countermeasure import derive_bob_naive_reject
@@ -198,34 +200,86 @@ def setting(name):
     return ps, sk, keygen(ps, ALICE, ps.sample_sk(ALICE, random.Random(4)))
 
 
-def fuzz(max_examples):
-    return settings(
-        derandomize=True,
-        deadline=None,
-        max_examples=max_examples,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
+def check_each(cases, check):
+    """check(*case) for each case in turn; a failure, an error or a failed
+    pytest.raises inside check, names its case."""
+    for case in cases:
+        try:
+            check(*case)
+        except (Exception, pytest.fail.Exception) as exc:
+            raise AssertionError(f"failing case {case!r}") from exc
 
 
-def public_keys(name):
-    """Random triples, and the honest key with one coordinate replaced,
-    moved by one, or projected to GF(p)."""
+def element_cases(F, elements, examples, rng):
+    """examples tuples of elements GF(p^2) elements: first the nine elements
+    whose coordinates are 0, 1 or p - 1, each filling a whole tuple, then
+    uniform draws from rng."""
+    edges = [(F(re, im),) * elements for re in (0, 1, F.p - 1) for im in (0, 1, F.p - 1)]
+    draws = [
+        tuple(F(rng.randrange(F.p), rng.randrange(F.p)) for _ in range(elements))
+        for _ in range(examples - len(edges))
+    ]
+    return edges + draws
+
+
+def public_keys(name, examples, rng):
+    """examples (public key, fault index i) cases for a bundled set. First
+    the honest key, whose chain runs to the fault; the triples of 0, 1 or
+    p - 1; and the honest key with one coordinate set to 0, 1 or p - 1,
+    moved by one or projected to GF(p); each at i = 0 and at i = e3 - 2.
+    Then random triples and randomly edited honest keys, at a random i."""
     ps, _, honest = setting(name)
-    F, p = ps.field, ps.field.p
-    element = st.builds(F, st.integers(0, p - 1), st.integers(0, p - 1))
+    F = ps.field
+    slots, edges = ("xP", "xQ", "xPQ"), (F(0), F(1), F(F.p - 1))
 
-    def edit(slot, how, x):
+    def edit(slot, how, x=None):
         old = getattr(honest, slot)
         new = {"replace": x, "nudge": old + F.one, "project": F(old.re)}[how]
         return honest._replace(**{slot: new})
 
-    edited = st.builds(
-        edit,
-        st.sampled_from(("xP", "xQ", "xPQ")),
-        st.sampled_from(("replace", "nudge", "project")),
-        element,
-    )
-    return st.one_of(st.builds(PublicKey, element, element, element), edited)
+    keys = [honest] + [PublicKey(x, x, x) for x in edges]
+    keys += [edit(slot, how) for slot in slots for how in ("nudge", "project")]
+    keys += [edit(slot, "replace", x) for slot in slots for x in edges]
+    cases = [(pk, i) for pk in keys for i in (0, ps.e3 - 2)]
+    while len(cases) < examples:
+        triple = [F(rng.randrange(F.p), rng.randrange(F.p)) for _ in slots]
+        if rng.randrange(2):
+            pk = PublicKey(*triple)
+        else:
+            pk = edit(rng.choice(slots), rng.choice(("replace", "nudge", "project")), triple[0])
+        cases.append((pk, rng.randrange(ps.e3 - 1)))
+    return cases
+
+
+def mutated_texts(text, examples, rng):
+    """examples edits of a parameter or public-key file's text. First each
+    line dropped, emptied after its "=" or set to 0; then one to three lines
+    dropped, given a new value, or changed in one character."""
+    lines = text.splitlines()
+    cases = []
+    for i, line in enumerate(lines):
+        key = line.partition("=")[0]
+        cases += [lines[:i] + edit + lines[i + 1 :] for edit in ([], [key + "="], [key + "=0"])]
+    while len(cases) < examples:
+        edited = list(lines)
+        for _ in range(rng.randint(1, 3)):
+            if not edited:
+                break
+            i = rng.randrange(len(edited))
+            kind = rng.choice(("drop", "value", "char"))
+            if kind == "drop":
+                del edited[i]
+            elif kind == "value":
+                if rng.randrange(2):
+                    value = str(rng.randint(-2, 70000))
+                else:
+                    value = "".join(rng.choices("0123456789abcdefx,=-+_# ", k=rng.randint(0, 16)))
+                edited[i] = edited[i].partition("=")[0] + "=" + value
+            elif edited[i]:
+                j = rng.randrange(len(edited[i]))
+                edited[i] = edited[i][:j] + rng.choice("0123456789abcdef,=-x# ") + edited[i][j + 1 :]
+        cases.append(edited)
+    return ["\n".join(case) + "\n" for case in cases]
 
 
 def make_reject_oracle(params, sk: int):

@@ -5,9 +5,12 @@ Criterion 2 drives ~50 full key recoveries at the 434-bit parameter scale
 and dominates the suite's runtime; everything else is toy-scale.
 """
 
+import hashlib
+import json
 import multiprocessing
 import random
 import time
+from collections import Counter
 
 from sidhlab.attack import (
     candidate_kernels,
@@ -16,6 +19,7 @@ from sidhlab.attack import (
     prefix_walk,
     recover_key,
 )
+from sidhlab.cli import TrialReport
 from sidhlab.countermeasure import PushforwardConfig, derive_bob_randomized
 from sidhlab.faultsim import make_oracle, oracle
 from sidhlab.isogeny import xeval3, xeval4, xisog3, xisog4
@@ -65,7 +69,8 @@ def test_criterion_1_full_recovery_exhaustive_toy(toy):
 
 def _p434_trial(seed: int):
     """(key recovered, oracle calls, the (i, failure_step) of every bit-0
-    verdict not decided at step i + 1)."""
+    verdict not decided at step i + 1, the key as recovered, its per-trit
+    ledger)."""
     params = _P434[0]
     rng = random.Random(seed)
     sk = params.sample_sk(BOB, rng)
@@ -79,7 +84,8 @@ def _p434_trial(seed: int):
         return v.bit
 
     state = recover_key(params, victim, pk, rng)
-    return state.sk % 3**params.e3 == sk, state.total_calls, off_step
+    ok = state.sk % 3**params.e3 == sk
+    return ok, state.total_calls, off_step, state.sk, state.calls_per_trit
 
 
 _P434 = []
@@ -89,26 +95,61 @@ def _p434_init():
     _P434.append(bundled_params("p434"))
 
 
+# sha256 of repr([(seed, key recovered, calls_per_trit)]) over the 50 seeds
+P434_LEDGERS = "ce9f239c5203d228734249c88f81e00d79096c5d7bf02fc0d8b6e1ac4ee103ac"
+# sha256 of `sidhlab attack --params p434 --trials 2 --seed 1000 --stable-durations`
+P434_REPORT = "e45d89610307b0dba6887810fe96b2c7317268240f94e1cc74a7206cb7f4be69"
+
+
+def _p434_report(results):
+    """The report `sidhlab attack --params p434 --trials 2 --seed 1000
+    --stable-durations` prints, rebuilt from the trials of seeds 1000 and
+    1001."""
+    reports = [
+        TrialReport("p434", seed, 137, ok, calls, Counter(map(str, ledger)), 0.0)
+        for seed, (ok, calls, _, _, ledger) in zip((1000, 1001), results)
+    ]
+    summary = {
+        "type": "summary",
+        "param_set": "p434",
+        "trials": 2,
+        "successes": sum(r.success for r in reports),
+        "success_rate": sum(r.success for r in reports) / 2,
+        "mean_oracle_calls": sum(r.oracle_calls for r in reports) / 2,
+        "mean_duration_s": 0.0,
+    }
+    lines = [r.to_json() for r in reports] + [json.dumps(summary, sort_keys=True)]
+    return "\n".join(lines) + "\n"
+
+
 def test_criterion_2_table_query_count():
     """>= 50 random SIDHp434-scale keys: mean oracle calls in [215, 237].
     The paper's mechanism holds at this scale too: every bit-0 verdict comes
-    from the order check at step i + 1, the kernel after the fault."""
+    from the order check at step i + 1, the kernel after the fault. The keys
+    and per-trit ledgers are pinned, and seeds 1000 and 1001 rebuild the
+    p434 attack report."""
     trials = 50
+    seeds = range(1000, 1000 + trials)
     t0 = time.perf_counter()
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(2, initializer=_p434_init) as pool:
-        results = pool.map(_p434_trial, range(1000, 1000 + trials))
+        results = pool.map(_p434_trial, seeds)
     elapsed = time.perf_counter() - t0
-    assert all(ok for ok, _, _ in results)
-    mean_calls = sum(c for _, c, _ in results) / trials
+    assert all(ok for ok, _, _, _, _ in results)
+    mean_calls = sum(c for _, c, _, _, _ in results) / trials
     assert 215.0 <= mean_calls <= 237.0, mean_calls
-    off_step = [v for _, _, off in results for v in off]
+    off_step = [v for _, _, off, _, _ in results for v in off]
     assert not off_step, off_step
+    records = [(seed, key, ledger) for seed, (_, _, _, key, ledger) in zip(seeds, results)]
+    ledgers = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert ledgers == P434_LEDGERS, ledgers
+    report = _p434_report(results[:2])
+    assert hashlib.sha256(report.encode()).hexdigest() == P434_REPORT, report
     _report(
         2,
         f"{trials} recoveries at e3=137, all exact; mean oracle calls "
-        f"{mean_calls:.2f} in [215, 237]; every bit 0 at step i + 1 "
-        f"(wall-clock {elapsed:.0f}s, informational)",
+        f"{mean_calls:.2f} in [215, 237]; every bit 0 at step i + 1; "
+        f"ledgers {ledgers[:8]}... (wall-clock {elapsed:.0f}s, informational)",
     )
 
 

@@ -13,7 +13,6 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
 
 from sidhlab import SidhlabInputError, countermeasure, faultsim
 from sidhlab.attack import PrefixWalk, forge_public_keys
@@ -34,7 +33,7 @@ from sidhlab.montgomery import (
 )
 from sidhlab.protocol import ALICE, BOB, chain_inputs, derive, keygen, sample_torsion_x
 
-from helpers import fuzz, public_keys, reference_walk, setting, two_power_walk, xpoint_infinity
+from helpers import check_each, public_keys, reference_walk, setting, two_power_walk, xpoint_infinity
 
 
 def same_run(params, degree, kernel, coeff, push=(), fault_at=None, k=None):
@@ -195,8 +194,6 @@ def test_random_and_edited_keys(name, examples, monkeypatch):
     ska = ps.sample_sk(ALICE, random.Random(5))
     check_masking_walks(monkeypatch, ps)
 
-    @fuzz(examples)
-    @given(public_keys(name), st.integers(0, ps.e3 - 2))
     def check(pk, i):
         for k in (1, 2):
             oracle(ps, sk, pk, i, PushforwardConfig(k), random.Random(i))
@@ -209,7 +206,7 @@ def test_random_and_edited_keys(name, examples, monkeypatch):
         same_run(ps, 3, kernel, coeff)
         same_run(ps, 4, *alice)
 
-    check()
+    check_each(public_keys(name, examples, random.Random(0)), check)
 
 
 def xmul(k, P, coeff, field):

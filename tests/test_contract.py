@@ -9,7 +9,6 @@ family.
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from sidhlab import SidhlabInputError
 from sidhlab.countermeasure import PushforwardConfig, derive_bob_randomized
@@ -26,32 +25,7 @@ from sidhlab.protocol import (
     loads_public_key,
 )
 
-from helpers import fuzz, public_keys, setting
-
-VALUES = st.one_of(
-    st.integers(-2, 70000).map(str),
-    st.text(alphabet="0123456789abcdefx,=-+_# ", max_size=16),
-)
-
-
-@st.composite
-def mutated(draw, text):
-    """text with one to three of its lines dropped, given a new value, or
-    changed in one character."""
-    lines = text.splitlines()
-    for _ in range(draw(st.integers(1, 3))):
-        if not lines:
-            break
-        i = draw(st.integers(0, len(lines) - 1))
-        kind = draw(st.sampled_from(("drop", "value", "char")))
-        if kind == "drop":
-            del lines[i]
-        elif kind == "value":
-            lines[i] = lines[i].partition("=")[0] + "=" + draw(VALUES)
-        elif lines[i]:
-            j = draw(st.integers(0, len(lines[i]) - 1))
-            lines[i] = lines[i][:j] + draw(st.sampled_from("0123456789abcdef,=-x# ")) + lines[i][j + 1 :]
-    return "\n".join(lines) + "\n"
+from helpers import check_each, mutated_texts, public_keys, setting
 
 
 def _returns_or_raises_the_family(loads, text, *args):
@@ -66,24 +40,14 @@ class TestLoaders:
     def test_mutated_params_text(self, name, examples, tmp_path):
         path = tmp_path / "params.txt"
         path.write_text(dumps_params(setting(name)[0]))
-
-        @fuzz(examples)
-        @given(mutated(path.read_text()))
-        def check(text):
-            _returns_or_raises_the_family(loads_params, text)
-
-        check()
+        texts = mutated_texts(path.read_text(), examples, random.Random(0))
+        check_each([(text,) for text in texts], lambda text: _returns_or_raises_the_family(loads_params, text))
 
     @pytest.mark.parametrize("name, examples", [("toy431", 300), ("p434", 200)])
     def test_mutated_pk_text(self, name, examples):
         ps, _, pk = setting(name)
-
-        @fuzz(examples)
-        @given(mutated(dumps_public_key(ps, ALICE, pk)))
-        def check(text):
-            _returns_or_raises_the_family(loads_public_key, text, ps)
-
-        check()
+        texts = mutated_texts(dumps_public_key(ps, ALICE, pk), examples, random.Random(0))
+        check_each([(text,) for text in texts], lambda text: _returns_or_raises_the_family(loads_public_key, text, ps))
 
     def test_pk_round_trip(self, toy):
         pk = keygen(toy, BOB, 5)
@@ -125,16 +89,15 @@ class TestOraclesAnswerEveryKey:
     @pytest.mark.parametrize("name, examples", [("toy431", 300), ("p434", 200)])
     def test_a_bit_for_every_key(self, name, examples):
         ps, sk, _ = setting(name)
+        rng = random.Random(0)
 
-        @fuzz(examples)
-        @given(public_keys(name), st.integers(0, ps.e3 - 2), st.integers(0, 2**32))
         def check(pk, i, seed):
             assert oracle(ps, sk, pk, i).bit in (0, 1)
-            rng = random.Random(seed)
+            masked = random.Random(seed)
             for k in (0, 1, 2):
-                assert oracle(ps, sk, pk, i, PushforwardConfig(k), rng).bit in (0, 1)
+                assert oracle(ps, sk, pk, i, PushforwardConfig(k), masked).bit in (0, 1)
 
-        check()
+        check_each([(pk, i, rng.randrange(2**32)) for pk, i in public_keys(name, examples, rng)], check)
 
     def test_out_of_range_sk_stays_a_caller_error(self, toy):
         """In the oracle, plain and masked, and in the masked derive, checked

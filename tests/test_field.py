@@ -2,7 +2,6 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from sidhlab.field import (
     Fp2Field,
@@ -12,6 +11,8 @@ from sidhlab.field import (
     is_probable_prime,
 )
 from sidhlab.protocol import dumps_params, loads_params
+
+from helpers import check_each, element_cases
 
 P = 431
 
@@ -135,29 +136,22 @@ class TestSquares:
                 assert _jacobi(a, n) == want, (a, n)
 
 
-coord = st.integers(min_value=0, max_value=P - 1)
-
-
 class TestFieldAxioms:
-    @given(a=coord, b=coord, c=coord, d=coord, e=coord, f=coord)
-    @settings(max_examples=80, deadline=None)
-    def test_mul_associative_distributive(self, F431, a, b, c, d, e, f):
-        x, y, z = F431(a, b), F431(c, d), F431(e, f)
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
+    def test_mul_associative_distributive(self, F431):
+        def check(x, y, z):
+            assert (x * y) * z == x * (y * z)
+            assert x * (y + z) == x * y + x * z
 
-    @given(a=coord, b=coord)
-    @settings(max_examples=80, deadline=None)
-    def test_inverse_axiom(self, F431, a, b):
-        x = F431(a, b)
-        if not x.is_zero():
-            assert x * x.inv() == F431.one
+        check_each(element_cases(F431, 3, 80, random.Random(0)), check)
 
-    @given(a=coord, b=coord)
-    @settings(max_examples=60, deadline=None)
-    def test_frobenius(self, F431, a, b):
-        x = F431(a, b)
+    def test_inverse_axiom(self, F431):
+        def check(x):
+            if not x.is_zero():
+                assert x * x.inv() == F431.one
 
+        check_each(element_cases(F431, 1, 80, random.Random(0)), check)
+
+    def test_frobenius(self, F431):
         def powi(v, e):
             acc = F431.one
             while e:
@@ -167,8 +161,11 @@ class TestFieldAxioms:
                 e >>= 1
             return acc
 
-        assert powi(x, P * P) == x
-        assert (powi(x, P) == x) == (x.im == 0)
+        def check(x):
+            assert powi(x, P * P) == x
+            assert (powi(x, P) == x) == (x.im == 0)
+
+        check_each(element_cases(F431, 1, 60, random.Random(0)), check)
 
 
 class TestSerialization:

@@ -4,7 +4,8 @@ Each module imports only from the layers below it, only public names cross
 a module boundary, every import sits at module level, and no module or
 function, in the package or among the tests, imports a name it never uses.
 Importing the package loads nothing from outside the standard library, and
-not dataclasses, an import every short run would pay for.
+not dataclasses, an import every short run would pay for; the tests import
+nothing from outside it but pytest.
 """
 
 import ast
@@ -146,6 +147,24 @@ def test_every_import_is_used(path):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             unused += sorted(f"{fn.name}:{name}" for name in _bound(ast.walk(fn)) - _read(fn))
     assert not unused
+
+
+def _imported(tree):
+    """The top-level name of each module that an absolute import anywhere in
+    tree imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.partition(".")[0]
+
+
+def test_tests_need_only_pytest():
+    """Every module imported anywhere in a test file is the standard
+    library's, pytest, sidhlab or a module of tests/."""
+    allowed = set(sys.stdlib_module_names) | {"pytest", "sidhlab"} | {p.stem for p in TEST_MODULES}
+    outside = [(p.name, name) for p in TEST_MODULES for name in _imported(_tree(p)) if name not in allowed]
+    assert not outside
 
 
 def test_import_leaves_out_dataclasses():
