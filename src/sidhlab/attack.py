@@ -187,7 +187,8 @@ def forge_public_keys(walk: PrefixWalk, rng: random.Random) -> ForgedKeys:
 
     E_i = MontgomeryCurve(walk.A, F)
     # exact order 3^e3, independent of phi(Q) at the order-3 level
-    x_t = x_affine(sample_torsion_x(params, E_i, 3, params.e3, rng, avoid=x_affine(walk.q3)))
+    _, T, _ = sample_torsion_x(E_i, 3, params.e3, lambda: F.random_element(rng), avoid=x_affine(walk.q3))
+    x_t = x_affine(T)
 
     x_q = x_affine(walk.q)
     phi_q = (x_q, F.sqrt(E_i.rhs(x_q)))

@@ -124,10 +124,7 @@ def params_gen(e2: int, e3: int, seed: int, out: str, name: Optional[str]):
 
 
 def _run_trial(args) -> TrialReport:
-    params_arg, seed = args
-    ps = _PARAMS_CACHE.get(params_arg)
-    if ps is None:
-        ps = _PARAMS_CACHE[params_arg] = _load(params_arg)
+    ps, seed = args
     rng = random.Random(seed)
     sk = ps.sample_sk(BOB, rng)
     bob_pk = keygen(ps, BOB, sk)
@@ -160,13 +157,10 @@ def _run_trial(args) -> TrialReport:
     )
 
 
-_PARAMS_CACHE: dict = {}
-
-
 def attack_cmd(params_arg, trials, seed, json_out, csv_out, jobs, stable_durations):
     """Run full key-recovery trials against fresh static keys."""
-    _PARAMS_CACHE[params_arg] = _load(params_arg)  # fail fast; the trials and forked workers reuse it
-    tasks = [(params_arg, seed + idx) for idx in range(trials)]
+    ps = _load(params_arg)
+    tasks = [(ps, seed + idx) for idx in range(trials)]
     if jobs > 1 and trials > 1:
         with multiprocessing.Pool(min(jobs, trials)) as pool:
             reports = list(pool.imap(_run_trial, tasks))

@@ -26,8 +26,6 @@ from .montgomery import (
     affine_a_from_projective,
     coeff_in_fp,
     j_invariant,
-    x_affine,
-    xdbl_e,
 )
 from .protocol import (
     BOB,
@@ -82,9 +80,9 @@ def derive_bob_randomized(
     coeff_A, *triple = chain_inputs(pk, F)
     E_A = MontgomeryCurve(affine_a_from_projective(coeff_A), F)
     for _ in range(100):
-        R = sample_torsion_x(params, E_A, 2, k, rng)
-        D = sample_torsion_x(params, E_A, 2, k, rng)
-        if x_affine(xdbl_e(R, coeff_A, k - 1)) != x_affine(xdbl_e(D, coeff_A, k - 1)):
+        _, R, r_top = sample_torsion_x(E_A, 2, k, lambda: F.random_element(rng))
+        _, D, d_top = sample_torsion_x(E_A, 2, k, lambda: F.random_element(rng))
+        if r_top != d_top:
             break  # <R, D> spans the 2^k-torsion
     else:
         raise SamplingExhaustedError("no spanning 2-power pair")

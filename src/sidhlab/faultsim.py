@@ -109,7 +109,8 @@ def oracle(
         else:
             coeff, *triple = chain_inputs(pk, F)
             E_A = MontgomeryCurve(affine_a_from_projective(coeff), F)
-            coeff, triple, mask = strategy_eval2(sample_torsion_x(params, E_A, 2, k, rng), coeff, k, triple, F)
+            _, R, _ = sample_torsion_x(E_A, 2, k, lambda: F.random_element(rng))
+            coeff, triple, mask = strategy_eval2(R, coeff, k, triple, F)
             mask.require_completed("masking walk")
             final, _, trace = secret_isogeny(params, BOB, sk_bob, coeff, triple, (), i)
     except SidhlabInputError:
@@ -174,7 +175,7 @@ def _supersingular_spot_check(
     if order_known:
         draws = curve_x_draws(E, lambda: F.random_element(rng), SPOT_CHECK_TRIES)
         return sum(1 for _ in islice(draws, SPOT_CHECK_POINTS)) == SPOT_CHECK_POINTS
-    points = cleared_points(E, params.e2, params.e3, rng, SPOT_CHECK_TRIES)
+    points = cleared_points(E, rng, SPOT_CHECK_TRIES)
     checked = 0
     for pt in islice(points, SPOT_CHECK_POINTS):
         if not pt.is_infinity():

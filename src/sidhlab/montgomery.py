@@ -15,7 +15,7 @@ doubling-friendly (A + 2C : 4C) pair is derived on demand as
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .field import Fp2, Fp2Field, SidhlabInputError
 
@@ -32,51 +32,29 @@ class SamplingExhaustedError(SidhlabInputError):
     """Bounded rejection sampling ran out of tries; parameters look corrupt."""
 
 
-class ProjCoeff:
+class ProjCoeff(NamedTuple):
     """Projective curve coefficient (alpha : beta) = (A + 2C : A - 2C)."""
 
-    __slots__ = ("alpha", "beta")
-
-    def __init__(self, alpha: Fp2, beta: Fp2):
-        self.alpha = alpha
-        self.beta = beta
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjCoeff):
-            return NotImplemented
-        return self.alpha == other.alpha and self.beta == other.beta
-
-    def __repr__(self):
-        return f"ProjCoeff({self.alpha!r}, {self.beta!r})"
+    alpha: Fp2
+    beta: Fp2
 
 
-class XPoint:
+class XPoint(NamedTuple):
     """Projective x-only point (X : Z); infinity is Z = 0 with X != 0.
+    Equality compares the components exactly, not projectively.
 
     (0, 0) is not a valid point; it can appear transiently inside degenerate
     post-fault chains and is deliberately NOT treated as infinity.
-    Plain slots class (built in every ladder step) - treat as immutable.
     """
 
-    __slots__ = ("X", "Z")
-
-    def __init__(self, X: Fp2, Z: Fp2):
-        self.X = X
-        self.Z = Z
+    X: Fp2
+    Z: Fp2
 
     def is_infinity(self) -> bool:
         return self.Z.is_zero() and not self.X.is_zero()
 
     def is_degenerate(self) -> bool:
         return self.Z.is_zero() and self.X.is_zero()
-
-    def __eq__(self, other):  # exact component equality, not projective
-        if not isinstance(other, XPoint):
-            return NotImplemented
-        return self.X == other.X and self.Z == other.Z
-
-    def __repr__(self):
-        return f"XPoint({self.X!r}, {self.Z!r})"
 
 
 def coeff_from_a(A: Fp2, field: Fp2Field) -> ProjCoeff:
@@ -317,11 +295,6 @@ def xadd(P: XPoint, Q: XPoint, diff: XPoint) -> XPoint:
 def xtpl(P: XPoint, coeff: ProjCoeff) -> XPoint:
     t = point_ints(P)
     return _result(xtpl_int(t, coeff_ints(coeff), P.X.p), P, t)
-
-
-def xdbl_e(P: XPoint, coeff: ProjCoeff, e: int) -> XPoint:
-    t = point_ints(P)
-    return _result(xdbl_e_int(t, coeff_ints(coeff), e, P.X.p), P, t)
 
 
 def xtpl_e(P: XPoint, coeff: ProjCoeff, e: int) -> XPoint:

@@ -37,14 +37,13 @@ from .montgomery import (
     exact_order_multiple_int,
     j_invariant,
     ladder3pt,
-    point_ints,
     x_affine,
-    xdbl,
-    xdbl_e,
+    xdbl_e_int,
+    xdbl_int,
     xpoint_from_affine,
     xpoint_from_ints,
-    xtpl,
-    xtpl_e,
+    xtpl_e_int,
+    xtpl_int,
 )
 
 ALICE = "alice"
@@ -200,46 +199,55 @@ def curve_x_draws(curve: MontgomeryCurve, draw: Callable[[], Fp2], tries: int) -
             yield x
 
 
-def cleared_points(
-    curve: MontgomeryCurve, e2: int, e3: int, rng: random.Random, tries: int
-) -> Iterator[XPoint]:
-    """[2^e2][3^e3]P for the points P that curve_x_draws yields on uniform
+def _cleared(x: Fp2, C: tuple, e2: int, e3: int, p: int) -> tuple:
+    """The ints of x([2^e2][3^e3]P) for x(P) = x, doublings first."""
+    return xtpl_e_int(xdbl_e_int((x.re, x.im, 1, 0), C, e2, p), C, e3, p)
+
+
+def _at_infinity(t: tuple) -> bool:
+    return not (t[2] or t[3]) and bool(t[0] or t[1])
+
+
+def cleared_points(curve: MontgomeryCurve, rng: random.Random, tries: int) -> Iterator[XPoint]:
+    """[p + 1]P for the points P that curve_x_draws yields on uniform
     GF(p^2) draws."""
-    F, coeff = curve.field, curve.coeff()
+    F, C = curve.field, coeff_ints(curve.coeff())
     for x in curve_x_draws(curve, lambda: F.random_element(rng), tries):
-        yield xtpl_e(xdbl_e(xpoint_from_affine(x, F), coeff, e2), coeff, e3)
+        yield xpoint_from_ints(_cleared(x, C, F.e2, F.e3, F.p), F.p)
 
 
 def sample_torsion_x(
-    params: SidhParams,
     curve: MontgomeryCurve,
     ell: int,
     k: int,
-    rng: random.Random,
+    draw: Callable[[], Fp2],
     avoid: Optional[Fp2] = None,
-) -> XPoint:
-    """x-point of exact order ell^k (ell = 2 or 3) on the curve: a random x
-    on the curve, the rest of p + 1 cleared (doublings first).  With avoid
-    given, points whose order-ell multiple has x = avoid are skipped.
+) -> tuple[Fp2, XPoint, Fp2]:
+    """(x0, P, x([ell^(k-1)]P)) for P of exact order ell^k (ell = 2 or 3):
+    the first x0 = draw() on the curve whose point P0 leaves P = [n]P0 of
+    exact order ell^k, n = (p + 1) / ell^k (doublings first).  P keeps the
+    clearing's projective ints: the representative decides what a fault in
+    the masked chain does.  With avoid given, points whose order-ell
+    multiple has x = avoid are skipped.
 
     On a curve with group (Z/(p+1))^2, [ell^k] kills every cleared point;
     the first one it does not kill proves the curve malformed and raises
     SamplingExhaustedError at once.  Only points of too small an order and
-    avoid hits are retried."""
-    coeff = curve.coeff()
-    e2 = params.e2 - k if ell == 2 else params.e2
-    e3 = params.e3 - k if ell == 3 else params.e3
-    mul_e, mul = (xdbl_e, xdbl) if ell == 2 else (xtpl_e, xtpl)
-    for pt in cleared_points(curve, e2, e3, rng, 1000):
-        if pt.is_infinity():
+    avoid hits are retried, within 1000 draws."""
+    F = curve.field
+    p, C = F.p, coeff_ints(curve.coeff())
+    e2, e3 = (F.e2 - k, F.e3) if ell == 2 else (F.e2, F.e3 - k)
+    mul_e, mul = (xdbl_e_int, xdbl_int) if ell == 2 else (xtpl_e_int, xtpl_int)
+    for x0 in curve_x_draws(curve, draw, 1000):
+        P = _cleared(x0, C, e2, e3, p)
+        below = mul_e(P, C, k - 1, p)
+        if _at_infinity(P) or _at_infinity(below):
             continue
-        below = mul_e(pt, coeff, k - 1)
-        if below.is_infinity():
-            continue
-        if not mul(below, coeff).is_infinity():
+        if not _at_infinity(mul(below, C, p)):
             raise SamplingExhaustedError(f"a point of order above {ell}^{k}: malformed curve")
-        if avoid is None or x_affine(below) != avoid:
-            return pt
+        top = x_affine(xpoint_from_ints(below, p))
+        if avoid is None or top != avoid:
+            return x0, xpoint_from_ints(P, p), top
     raise SamplingExhaustedError(f"no point of order {ell}^{k}")
 
 
@@ -327,50 +335,35 @@ def param_gen(
     if name and (name.splitlines() != [name] or name.strip() != name):
         raise SidhlabInputError(f"name {name!r} has a line break or surrounding blanks")
     E = MontgomeryCurve(F(6), F)
-    coeff, p = E.coeff(), F.p
+    C, p = coeff_ints(E.coeff()), F.p
 
-    def cleared(x: Fp2, ell: int) -> XPoint:
-        """x([n]P) for x = x(P), n = (p + 1) / ell^e the cofactor of the
-        ell-power torsion."""
-        P = xpoint_from_affine(x, F)
-        return xtpl_e(P, coeff, e3) if ell == 2 else xdbl_e(P, coeff, e2)
-
-    def basis_point(ell: int, e: int, draw) -> tuple[Fp2, Fp2, Fp2]:
-        """(x(P0), x(P), x([ell^(e-1)]P)) for the first P0 on E, x(P0) =
-        draw(), whose multiple P = [n]P0 has exact order ell^e.  A GF(p)
-        draw is never on the twist, and a 2-torsion draw (rhs = 0) never
-        clears to exact order ell^e."""
-        for x in curve_x_draws(E, draw, 1000):
-            P = cleared(x, ell)
-            below = exact_order_multiple_int(point_ints(P), coeff_ints(coeff), ell, e, p)
-            if below is not None:
-                return x, x_affine(P), x_affine(xpoint_from_ints(below, p))
-        raise SamplingExhaustedError(f"no point of order {ell**e}")
-
-    def difference_x(xP0: Fp2, xQ0: Fp2, ell: int) -> Fp2:
+    def difference_x(xP0: Fp2, xQ0: Fp2, n2: int, n3: int) -> Fp2:
         """x(P - Q) = x([n](P0 - Q0)) for P = [n]P0 and Q = [n]Q0, with
-        P != +-Q: the chord of P0 = (xP0, sqrt(rhs)) and -Q0, cleared."""
+        n = 2^n2 3^n3 and P != +-Q: the chord of P0 = (xP0, sqrt(rhs)) and
+        -Q0, cleared."""
         yP0, yQ0 = F.sqrt(E.rhs(xP0)), F.sqrt(E.rhs(xQ0))
-        return x_affine(cleared(E.chord_x((xP0, yP0), (xQ0, -yQ0)), ell))
+        D = _cleared(E.chord_x((xP0, yP0), (xQ0, -yQ0)), C, n2, n3, p)
+        return x_affine(xpoint_from_ints(D, p))
 
     def sample_alice(want_zero_top: bool) -> tuple[Fp2, Fp2]:
         for _ in range(1000):
-            x0, x, top = basis_point(2, e2, lambda: F.random_element(rng))
+            x0, P, top = sample_torsion_x(E, 2, e2, lambda: F.random_element(rng))
             if top.is_zero() == want_zero_top:
-                return x0, x
+                return x0, x_affine(P)
         raise SamplingExhaustedError("no suitable 2-power basis point")
 
     xQA0, xQA = sample_alice(True)
     xPA0, xPA = sample_alice(False)
-    xDA = difference_x(xPA0, xQA0, 2)
+    xDA = difference_x(xPA0, xQA0, 0, e3)
 
-    # x(P_B), x(Q_B) in GF(p): the whole multiple tower stays there too
+    # x(P_B), x(Q_B) in GF(p): the whole multiple tower stays there too.  A
+    # GF(p) draw is never on the twist.
     for _ in range(1000):
-        xPB0, xPB, pb3 = basis_point(3, e3, lambda: F(rng.randrange(p)))
-        xQB0, xQB, qb3 = basis_point(3, e3, lambda: F(rng.randrange(p)))
+        xPB0, PB, pb3 = sample_torsion_x(E, 3, e3, lambda: F(rng.randrange(p)))
+        xQB0, QB, qb3 = sample_torsion_x(E, 3, e3, lambda: F(rng.randrange(p)))
         if pb3 == qb3:
             continue
-        xDB = difference_x(xPB0, xQB0, 3)
+        xDB = difference_x(xPB0, xQB0, e2, 0)
         if xDB.im != 0:
             break
     else:
@@ -382,8 +375,8 @@ def param_gen(
         xPA=xPA,
         xQA=xQA,
         xDA=xDA,
-        xPB=xPB,
-        xQB=xQB,
+        xPB=x_affine(PB),
+        xQB=x_affine(QB),
         xDB=xDB,
     )
     params.validate()

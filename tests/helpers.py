@@ -333,7 +333,8 @@ def reference_forge(params, sk_prefix: int, i: int, rng: random.Random, negate_p
     x_phiq = x_affine(pushed[0])
     xq_pt = xpoint_from_affine(x_phiq, F)
     anchor_x = x_affine(xtpl_e(xq_pt, coeff_i, params.e3 - 1))
-    x_t = x_affine(sample_torsion_x(params, E_i, 3, params.e3, rng, avoid=anchor_x))
+    _, T, _ = sample_torsion_x(E_i, 3, params.e3, lambda: F.random_element(rng), avoid=anchor_x)
+    x_t = x_affine(T)
 
     phi_q = E_i.lift_x(x_phiq)
     if negate_phi_q:

@@ -165,7 +165,8 @@ def test_masked_chains(name, k, toy, mid):
     keys = [params.sample_sk(BOB, rng) for _ in range(4)]
     for sk, i, pk in forged_runs(params, keys, range(params.e3 - 1), rng):
         coeff, *triple = chain_inputs(pk, F)
-        R = sample_torsion_x(params, MontgomeryCurve(affine_a_from_projective(coeff), F), 2, k, rng)
+        E_A = MontgomeryCurve(affine_a_from_projective(coeff), F)
+        _, R, _ = sample_torsion_x(E_A, 2, k, lambda: F.random_element(rng))
         coeff, triple, _ = same_run(params, 2, R, coeff, triple, k=k)
         same_run(params, 3, ladder3pt(sk, *triple, coeff), coeff, fault_at=i)
 

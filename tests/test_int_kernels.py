@@ -32,7 +32,6 @@ from sidhlab.montgomery import (
     xadd,
     xadd_int,
     xdbl,
-    xdbl_e,
     xdbl_e_int,
     xdbl_int,
     xtpl,
@@ -98,7 +97,7 @@ def test_xdbl_xtpl_and_their_loops(toy, cases):
         for P in pts[::40] + pts[2000:]:
             t = point_ints(P)
             for e in (0, 1, 2, 5):
-                assert xdbl_e_int(t, c, e, p) == ints(ref_xdbl_e(P, C, e)) == ints(xdbl_e(P, C, e))
+                assert xdbl_e_int(t, c, e, p) == ints(ref_xdbl_e(P, C, e))
                 assert xtpl_e_int(t, c, e, p) == ints(ref_xtpl_e(P, C, e)) == ints(xtpl_e(P, C, e))
 
 

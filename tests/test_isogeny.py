@@ -17,13 +17,12 @@ from sidhlab.montgomery import (
     coeff_in_fp,
     j_invariant,
     x_affine,
-    xdbl_e,
     xpoint_from_affine,
     xtpl_e,
     zero_imaginary_parts,
 )
 
-from helpers import ReferenceCurve, sample_point_of_order, schedule, start_curve, xpoint
+from helpers import ReferenceCurve, ref_xdbl_e, sample_point_of_order, schedule, start_curve, xpoint
 from velu_oracle import fit_linear, j_short_weierstrass, velu_isogeny
 
 
@@ -140,8 +139,8 @@ class TestIsogeny4:
         step = xisog4(xp)
         img = xeval4(xpoint(E, P16), step)
         cc = step.new_coeff
-        assert xdbl_e(img, cc, 2).is_infinity()
-        assert not xdbl_e(img, cc, 1).is_infinity()
+        assert ref_xdbl_e(img, cc, 2).is_infinity()
+        assert not ref_xdbl_e(img, cc, 1).is_infinity()
 
 
 class TestStrategyEval:
@@ -184,8 +183,8 @@ class TestStrategyEval:
         )
         assert trace.completed
         img = pushed[0]
-        assert xdbl_e(img, final, 4).is_infinity()
-        assert not xdbl_e(img, final, 3).is_infinity()
+        assert ref_xdbl_e(img, final, 4).is_infinity()
+        assert not ref_xdbl_e(img, final, 3).is_infinity()
 
     def test_eval4_round_trip_keygen(self, toy, rng):
         """Alice keygen then Bob derive agree with the mirror direction."""

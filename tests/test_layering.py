@@ -3,6 +3,8 @@
 Each module imports only from the layers below it, only public names cross
 a module boundary, every import sits at module level, and no module or
 function, in the package or among the tests, imports a name it never uses.
+protocol, countermeasure and faultsim import no object-level arithmetic
+wrapper but protocol's ladder3pt.
 Importing the package loads nothing from outside the standard library, and
 not dataclasses, an import every short run would pay for; the tests import
 nothing from outside it but pytest.
@@ -74,6 +76,18 @@ def _dotted(node):
 
 def _private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+# montgomery's and isogeny's object-level arithmetic wrappers.
+OBJECT_LEVEL = {"xdbl", "xadd", "xtpl", "xdbl_e", "xtpl_e", "ladder3pt", "xisog3", "xeval3", "xisog4", "xeval4"}
+
+
+@pytest.mark.parametrize(
+    "stem, allowed", [("protocol", {"ladder3pt"}), ("countermeasure", set()), ("faultsim", set())]
+)
+def test_chains_run_on_the_int_kernels(stem, allowed):
+    imported = {name for _, names, _ in _sidhlab_imports(_tree(SRC / f"{stem}.py")) for name in names}
+    assert imported & OBJECT_LEVEL == allowed
 
 
 def test_every_module_has_a_layer():

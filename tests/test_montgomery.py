@@ -13,7 +13,6 @@ from sidhlab.montgomery import (
     ladder3pt,
     x_affine,
     xdbl,
-    xdbl_e,
     xpoint_from_affine,
     xpoint_in_fp,
     xtpl,
@@ -58,7 +57,6 @@ class TestDoublingTripling:
     def test_iterated_zero_is_identity(self, F431, E, rng):
         P = sample_point_of_order(E, 27, rng)
         xp = xpoint(E, P)
-        assert xdbl_e(xp, E.coeff(), 0) is xp
         assert xtpl_e(xp, E.coeff(), 0) is xp
 
     def test_order_annihilation(self, F431, E, rng):

@@ -10,8 +10,8 @@ from sidhlab.montgomery import (
     affine_a_from_projective,
     j_invariant,
     ladder3pt,
+    x_affine,
     xdbl,
-    xdbl_e,
     xtpl,
     xpoint_from_affine,
 )
@@ -32,7 +32,15 @@ from sidhlab.protocol import (
     sample_torsion_x,
 )
 
-from helpers import P47_TEXT, ReferenceCurve, difference_consistent, public_basis, start_curve
+from helpers import (
+    P47_TEXT,
+    ReferenceCurve,
+    difference_consistent,
+    public_basis,
+    ref_xdbl_e,
+    sample_point_of_order,
+    start_curve,
+)
 
 
 class TestParams:
@@ -124,8 +132,8 @@ class TestKeygen:
         coeff = coeff_from_a(A, toy.field)
         for x in (pk.xP, pk.xQ, pk.xPQ):
             pt = xpoint_from_affine(x, toy.field)
-            assert xdbl_e(pt, coeff, toy.e2).is_infinity()
-            assert not xdbl_e(pt, coeff, toy.e2 - 1).is_infinity()
+            assert ref_xdbl_e(pt, coeff, toy.e2).is_infinity()
+            assert not ref_xdbl_e(pt, coeff, toy.e2 - 1).is_infinity()
 
     def test_sk_congruence_gives_same_key(self, toy):
         # same kernel subgroup => byte-identical public key
@@ -222,18 +230,18 @@ class TestGetA:
         assert unliftable > 0
 
 
+def scripted(values):
+    """A draw that hands out values in order, and the list of its calls."""
+    calls, it = [], iter(values)
+
+    def draw():
+        calls.append(next(it))
+        return calls[-1]
+
+    return draw, calls
+
+
 class TestCurveXDraws:
-    @staticmethod
-    def _scripted(values):
-        """A draw that hands out values in order, and the list of its calls."""
-        calls, it = [], iter(values)
-
-        def draw():
-            calls.append(next(it))
-            return calls[-1]
-
-        return draw, calls
-
     def test_yields_the_nonzero_on_curve_draws_in_order(self, toy, rng):
         """0 and twist x are skipped; a 2-torsion x (rhs = 0) is on the
         curve and yielded.  With nothing left to yield, the draw is called
@@ -247,7 +255,7 @@ class TestCurveXDraws:
         script = [F.zero, twist[0], on[0], on[1], twist[1], two_torsion, F.zero, on[2], twist[2], on[3], twist[0]]
         want = [on[0], on[1], two_torsion, on[2], on[3]]
         for tries in range(len(script) + 1):
-            draw, calls = self._scripted(script)
+            draw, calls = scripted(script)
             assert list(curve_x_draws(E, draw, tries)) == [x for x in script[:tries] if x in want]
             assert calls == script[:tries]
 
@@ -255,7 +263,7 @@ class TestCurveXDraws:
         """On A = 6 every nonzero GF(p) x is on the curve: a GF(p)-only draw
         yields each of its nonzero draws, and only GF(p) x."""
         F, E = toy.field, start_curve(toy)
-        draw, calls = self._scripted([F(rng.randrange(F.p)) for _ in range(300)])
+        draw, calls = scripted([F(rng.randrange(F.p)) for _ in range(300)])
         drawn = list(curve_x_draws(E, draw, 300))
         assert len(calls) == 300
         assert drawn == [x for x in calls if not x.is_zero()]
@@ -263,40 +271,99 @@ class TestCurveXDraws:
 
 
 class TestTorsionSampler:
-    def _tries(self, monkeypatch, params, curve, ell, k):
-        """(sampled point or the raised error, samples cleared)."""
-        import sidhlab.protocol as proto
+    CASES = ((2, 2), (2, 4), (3, 1), (3, 3))
 
-        count = [0]
-        lift = proto.xpoint_from_affine
+    @staticmethod
+    def _exact(E, ell, k, x):
+        """(P, [ell^(k-1)]P) by the affine group law, for P = [(p + 1) / ell^k]P0
+        and x(P0) = x, when x is nonzero, on E and P has exact order ell^k;
+        otherwise None."""
+        if x.is_zero() or not E.field.is_square(E.rhs(x)):
+            return None
+        P = E.scalar_mul((E.field.p + 1) // ell**k, E.lift_x(x))
+        top = E.scalar_mul(ell ** (k - 1), P)
+        if top.infinity or not E.scalar_mul(ell, top).infinity:
+            return None
+        return P, top
 
-        def counting(x, field):
-            count[0] += 1
-            return lift(x, field)
+    def _accepted(self, E, ell, k, rng, count):
+        """count draws whose points clear to exact order ell^k, with
+        distinct tops."""
+        xs, tops = [], set()
+        while len(xs) < count:
+            x = E.field.random_element(rng)
+            ref = self._exact(E, ell, k, x)
+            if ref and ref[1].x not in tops:
+                xs.append(x)
+                tops.add(ref[1].x)
+        return xs
 
-        monkeypatch.setattr(proto, "xpoint_from_affine", counting)
-        try:
-            result = sample_torsion_x(params, curve, ell, k, random.Random(1))
-        except SamplingExhaustedError as exc:
-            result = exc
-        monkeypatch.undo()
-        return result, count[0]
+    @staticmethod
+    def _x_of_order(E, d, rng):
+        """A nonzero x of a point of exact order d on E."""
+        while (x := sample_point_of_order(E, d, rng).x).is_zero():
+            pass
+        return x
 
-    def test_malformed_curve_fails_at_the_first_large_order(self, toy, monkeypatch):
-        """A = 5 over GF(431^2) is not a (Z/432)^2 curve: the sampler gives
-        up at the first point [ell^k] does not kill (it spent 1000 full
-        clearings before), while the honest curve still samples."""
+    @staticmethod
+    def _twist_x(E, rng):
+        while E.field.is_square(E.rhs(x := E.field.random_element(rng))):
+            pass
+        return x
+
+    def test_malformed_curve_fails_at_the_first_large_order(self, toy, rng):
+        """A = 5 over GF(431^2) is not a (Z/432)^2 curve: the sampler raises
+        at the first point [ell^k] does not kill, here the one draw it
+        accepts after a zero and a twist x, while the honest curve samples."""
         F = toy.field
         bad = ReferenceCurve(F(5), F)
-        xs = [F(v) for v in range(2, 40) if F.is_square(bad.rhs(F(v)))]
-        assert any(not bad.scalar_mul(432, bad.lift_x(x)).infinity for x in xs)
-        for ell, k in ((2, 2), (3, 1), (3, 3)):
-            result, tries = self._tries(monkeypatch, toy, bad, ell, k)
-            assert isinstance(result, SamplingExhaustedError)
-            assert tries == 1, (ell, k)
-            result, tries = self._tries(monkeypatch, toy, start_curve(toy), ell, k)
-            assert not isinstance(result, SamplingExhaustedError)
-            assert tries >= 1
+        big = next(F(v) for v in range(2, 40) if not bad.scalar_mul(432, bad.lift_x(F(v))).infinity)
+        script = [F.zero, self._twist_x(bad, rng), big]
+        for ell, k in self.CASES:
+            draw, calls = scripted(script)
+            with pytest.raises(SamplingExhaustedError, match="malformed"):
+                sample_torsion_x(bad, ell, k, draw)
+            assert calls == script, (ell, k)
+            sample_torsion_x(start_curve(toy), ell, k, lambda: F.random_element(rng))
+
+    def test_returns_the_drawn_x0_and_the_top_of_its_point(self, toy, rng):
+        """x0 is the last draw, and the first one whose point clears to exact
+        order ell^k: a zero, a twist x, a point the cofactor kills and one of
+        too small an order come before it.  P and x([ell^(k-1)]P) agree with
+        the affine group law."""
+        F, E = toy.field, start_curve(toy)
+        for ell, k in self.CASES:
+            script = [F.zero, self._twist_x(E, rng), self._x_of_order(E, 3 if ell == 2 else 4, rng)]
+            if k > 1:
+                script.append(self._x_of_order(E, ell ** (k - 1), rng))
+            script += self._accepted(E, ell, k, rng, 1)
+            draw, calls = scripted(script)
+            x0, P, top = sample_torsion_x(E, ell, k, draw)
+            assert calls == script and x0 == script[-1], (ell, k)
+            assert not any(self._exact(E, ell, k, x) for x in script[:-1])
+            want_P, want_top = self._exact(E, ell, k, x0)
+            assert (x_affine(P), top) == (want_P.x, want_top.x), (ell, k)
+
+    def test_an_avoid_hit_is_skipped(self, toy, rng):
+        """A point whose top is avoid is skipped and the next one returned."""
+        E = start_curve(toy)
+        for ell, k in self.CASES:
+            xs = self._accepted(E, ell, k, rng, 2)
+            _, _, avoid = sample_torsion_x(E, ell, k, scripted(xs)[0])
+            draw, calls = scripted(xs)
+            x0, _, top = sample_torsion_x(E, ell, k, draw, avoid=avoid)
+            assert calls == xs and x0 == xs[1] and top != avoid, (ell, k)
+
+    def test_gives_up_after_1000_draws(self, toy, rng):
+        """Zero draws, points of too small an order and avoid hits all count
+        against the 1000 draws, and the sampler raises after the last."""
+        F, E = toy.field, start_curve(toy)
+        (hit,) = self._accepted(E, 3, 3, rng, 1)
+        _, _, avoid = sample_torsion_x(E, 3, 3, scripted([hit])[0])
+        draw, calls = scripted([F.zero, self._x_of_order(E, 9, rng), hit] * 400)
+        with pytest.raises(SamplingExhaustedError, match="no point of order"):
+            sample_torsion_x(E, 3, 3, draw, avoid=avoid)
+        assert len(calls) == 1000
 
 
 class TestVictimUnawareness:

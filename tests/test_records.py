@@ -9,7 +9,7 @@ import pytest
 from sidhlab.isogeny import balanced_strategy
 
 RECORDS = {
-    "montgomery": set(),
+    "montgomery": {"ProjCoeff", "XPoint"},
     "isogeny": {"IsogenyStep"},
     "protocol": {"PublicKey", "SidhParams"},
     "countermeasure": {"PushforwardConfig", "NaiveRejectOutcome"},
