@@ -70,12 +70,11 @@ class ForgedKeys(NamedTuple):
     preimages: tuple
 
 
-class AttackState:
-    """Recovered prefix so far plus the per-trit oracle-call ledger."""
+class AttackState(NamedTuple):
+    """The recovered key and the per-trit oracle-call ledger."""
 
-    def __init__(self, sk: int = 0, calls_per_trit: Optional[list] = None) -> None:
-        self.sk = sk
-        self.calls_per_trit = [] if calls_per_trit is None else calls_per_trit
+    sk: int
+    calls_per_trit: list
 
     @property
     def total_calls(self) -> int:
@@ -272,7 +271,7 @@ def recover_key(
 
     The oracle wraps the fixed static key and returns the verdict bit.
     """
-    state = AttackState()
+    sk, calls_per_trit = 0, []
     walk = PrefixWalk.start(params)
     for i in range(params.e3 - 1):
         forged = forge_public_keys(walk, rng)
@@ -283,15 +282,14 @@ def recover_key(
         if trit is None:
             verdicts.append(oracle(forged.pk_second, i))
             trit, calls = infer_trit(memberships, verdicts)
-        state.sk += trit * 3**i
-        state.calls_per_trit.append(calls)
+        sk += trit * 3**i
+        calls_per_trit.append(calls)
         if i < params.e3 - 2:
             walk = walk.step(trit)
-    top = _last_trit(params, state.sk, bob_pk)
+    top = _last_trit(params, sk, bob_pk)
     if top is None:
         raise OracleContradictionError("no top trit reproduces the public key")
-    state.sk += top * 3 ** (params.e3 - 1)
-    return state
+    return AttackState(sk + top * 3 ** (params.e3 - 1), calls_per_trit)
 
 
 def faultless_attack(

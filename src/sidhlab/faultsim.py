@@ -51,14 +51,16 @@ from .montgomery import (
     ProjCoeff,
     affine_a_from_projective,
     coeff_in_fp,
+    coeff_ints,
 )
 from .protocol import (
     BOB,
     PublicKey,
     SidhParams,
+    at_infinity,
     chain_inputs,
     check_sk,
-    cleared_points,
+    cleared,
     curve_x_draws,
     derive_with_trace,
     sample_torsion_x,
@@ -85,7 +87,6 @@ def oracle(
     i: int,
     config: PushforwardConfig = PushforwardConfig(0),
     rng: Optional[random.Random] = None,
-    keep_trace: bool = False,
 ) -> OracleVerdict:
     """O_sk(pk, i): victim derive with the (i+1)-th 3-isogeny output
     coefficient's imaginary parts zeroed.  With config.k > 0 the victim runs
@@ -95,7 +96,8 @@ def oracle(
     Every malformed pk maps to bit 0 with failure_step -1; only an
     out-of-range i, k or sk is rejected.  The masking kernel and the
     spot-check points are drawn from rng; rng=None derives it from (pk, i),
-    which makes the verdict deterministic.
+    which makes the verdict deterministic.  The verdict carries the trace of
+    the faulted chain (None when the pk was rejected).
     """
     if not 0 <= i <= params.e3 - 2:
         raise ValueError(f"fault index {i} outside [0, e3 - 2]")
@@ -115,8 +117,7 @@ def oracle(
             final, _, trace = secret_isogeny(params, BOB, sk_bob, coeff, triple, (), i)
     except SidhlabInputError:
         return OracleVerdict(bit=0, failure_step=-1)
-    bit, failure_step = _verdict(params, final, trace, rng)
-    return OracleVerdict(bit, failure_step, trace if keep_trace else None)
+    return OracleVerdict(*_verdict(params, final, trace, rng), trace)
 
 
 def _verdict(params: SidhParams, final: ProjCoeff, trace: ChainTrace, rng: random.Random) -> tuple:
@@ -160,28 +161,27 @@ def _supersingular_spot_check(
     params: SidhParams, coeff: ProjCoeff, rng: random.Random, order_known: bool = False
 ) -> bool:
     """Draw SPOT_CHECK_POINTS on-curve points within SPOT_CHECK_TRIES draws
-    and require [p+1]P = [2^e2][3^e3]P = infinity for each.
+    and require [p+1]P = [2^e2][3^e3]P = infinity for each, stopping at the
+    first point that fails.
 
     With order_known, the caller has proven that the curve's group is
     E[p + 1] (a completed, unmoved chain through A = 6; the module docstring
     gives the three facts).  Then each multiple is infinity, so the check
-    makes the same draws and returns whether SPOT_CHECK_POINTS came up,
-    without multiplying: the same bool, and the rng left in the same state."""
+    makes the same draws and counts the points that come up, without
+    multiplying: the same bool, and the rng left in the same state."""
     F = params.field
     try:  # alpha = beta, or a singular curve
         E = MontgomeryCurve(affine_a_from_projective(coeff), F)
     except SidhlabInputError:
         return False
-    if order_known:
-        draws = curve_x_draws(E, lambda: F.random_element(rng), SPOT_CHECK_TRIES)
-        return sum(1 for _ in islice(draws, SPOT_CHECK_POINTS)) == SPOT_CHECK_POINTS
-    points = cleared_points(E, rng, SPOT_CHECK_TRIES)
-    checked = 0
-    for pt in islice(points, SPOT_CHECK_POINTS):
-        if not pt.is_infinity():
+    C = coeff_ints(E.coeff())
+    draws = curve_x_draws(E, lambda: F.random_element(rng), SPOT_CHECK_TRIES)
+    found = 0
+    for x in islice(draws, SPOT_CHECK_POINTS):
+        if not order_known and not at_infinity(cleared(x, C, F.e2, F.e3, F.p)):
             return False
-        checked += 1
-    return checked == SPOT_CHECK_POINTS
+        found += 1
+    return found == SPOT_CHECK_POINTS
 
 
 def dump_chain_trace(trace: ChainTrace, field: Fp2Field) -> str:

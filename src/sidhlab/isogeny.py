@@ -15,11 +15,9 @@ marks the trace degenerate and the run stops, mirroring how a faulted victim
 computation just produces garbage downstream.  The one exception is a (0, 0)
 2-isogeny kernel on a curve with non-square A + 2 (DegenerateChainError).
 
-Which kernels are checked.  Row 0's kernel is always checked.  Later rows
-are checked only when the starting coefficient is singular or undefined
-(alpha = 0, beta = 0 or alpha = beta), or from the row after a fault that
-moved the curve (alpha * beta' != alpha' * beta).  Everywhere else a check
-cannot fail:
+Which kernels are checked.  Row 0's kernel is always checked, and later
+rows only from the row after a fault that moved the curve (alpha * beta' !=
+alpha' * beta).  Everywhere else a check cannot fail:
 
   * 3-isogenies.  Let row 0's kernel [3^(n-1)]R have exact order 3 on a
     non-singular curve.  Then R has exact order 3^n, and the 3-isogeny with
@@ -52,11 +50,12 @@ cannot fail:
 
 A fault that moves the curve breaks the induction at the faulted row, so
 those runs check every row after it; ChainTrace.fault_moved_curve records
-which case a run was in.  A singular start checks every row,
-so that the rule rests on the argument for non-singular curves alone.  The
-clause changes no outcome: alpha = beta fails row 0 for every point, and
-the non-singular points of the nodal curves A = +-2 form a group that the
-formulas map to A = +-2 again, so the argument holds there as well.
+which case a run was in.  A singular or undefined start (alpha = 0, beta = 0
+or alpha = beta) needs no more checks than these: alpha = beta fails row 0
+for every point, and the non-singular points of the nodal curves A = +-2
+form a group that the formulas map to A = +-2 again, so the argument holds
+there as well.  test_check_rule.test_singular_starts runs such starts
+against a walker that checks every row.
 """
 
 from __future__ import annotations
@@ -309,12 +308,6 @@ def _has_order_4(R: tuple, C: tuple, p: int) -> bool:
     return exact_order_multiple_int(R, C, 2, 2, p) is not None
 
 
-def _singular(C: tuple) -> bool:
-    """alpha = 0, beta = 0 (A = -2C or A = 2C) or alpha = beta (C = 0)."""
-    ar, ai, br, bi = C
-    return not (ar or ai) or not (br or bi) or (ar == br and ai == bi)
-
-
 def _same_curve(C: tuple, D: tuple, p: int) -> bool:
     """(alpha : beta) = (alpha' : beta'), i.e. alpha * beta' = alpha' * beta."""
     ar, ai, br, bi = C
@@ -356,22 +349,20 @@ def _walk(R, coeff, strategy, push_points, fault_at, mul_e, per_leaf, has_order,
     coefficient stay int tuples; the trace and the results are objects.
     The imaginary parts of row fault_at's codomain coefficient are zeroed.
 
-    Row 0's kernel is always checked; later rows only when the starting
-    coefficient is singular or undefined, or after a fault that moved the
-    curve (the module docstring gives the argument)."""
+    Row 0's kernel is always checked; later rows only after a fault that
+    moved the curve (the module docstring gives the argument)."""
     p = coeff.alpha.p
     C = coeff_ints(coeff)
     R = point_ints(R)
     pushed = [point_ints(Q) for Q in push_points]
     trace = ChainTrace(coeffs=[coeff])
-    check_every_row = _singular(C)
     stack: list[tuple] = []
     for row, moves in enumerate(_schedule(strategy, len(strategy) + 1)):
         for m in moves:
             stack.append(R)
             R = mul_e(R, C, per_leaf * m, p)
         trace.kernels.append(xpoint_from_ints(R, p))
-        if (row == 0 or check_every_row) and not has_order(R, C, p):
+        if (row == 0 or trace.fault_moved_curve) and not has_order(R, C, p):
             trace.degenerate_at = row
             break
         C, data = isog(R, C, p)
@@ -380,7 +371,6 @@ def _walk(R, coeff, strategy, push_points, fault_at, mul_e, per_leaf, has_order,
             coeff = zero_imaginary_parts(coeff)
             C, honest_C = coeff_ints(coeff), C
             trace.fault_moved_curve = not _same_curve(honest_C, C, p)
-            check_every_row = check_every_row or trace.fault_moved_curve
             trace.fault_fired_at = row
         trace.coeffs.append(coeff)
         if stack:
@@ -414,9 +404,9 @@ def strategy_eval3(
     n = len(strategy) + 1, optionally pushing auxiliary points through every
     step and zeroing the imaginary parts of row fault_at's new coefficient.
 
-    Kernels are order-3 checked where a check can fail (row 0, a singular
-    start, the rows after a fault that moved the curve); a failure marks the
-    trace degenerate and returns early instead of raising.
+    Kernels are order-3 checked where a check can fail (row 0 and the rows
+    after a fault that moved the curve); a failure marks the trace
+    degenerate and returns early instead of raising.
     """
     return _walk(R, coeff, strategy, push_points, fault_at, xtpl_e_int, 1, _has_order_3,
                  lambda K, C, p: xisog3_int(K, p), xeval3_int)

@@ -136,8 +136,6 @@ class SidhParams(NamedTuple):
             raise SidhlabInputError("Alice basis is dependent")
         if not qa2.is_zero():
             raise SidhlabInputError("[2^(e2-1)]QA must be (0, 0)")
-        if pa2.is_zero():
-            raise SidhlabInputError("[2^(e2-1)]PA must avoid (0, 0)")
         if pb3 == qb3:
             raise SidhlabInputError("Bob basis is dependent")
         if self.xPB.im != 0 or self.xQB.im != 0:
@@ -199,21 +197,14 @@ def curve_x_draws(curve: MontgomeryCurve, draw: Callable[[], Fp2], tries: int) -
             yield x
 
 
-def _cleared(x: Fp2, C: tuple, e2: int, e3: int, p: int) -> tuple:
+def cleared(x: Fp2, C: tuple, e2: int, e3: int, p: int) -> tuple:
     """The ints of x([2^e2][3^e3]P) for x(P) = x, doublings first."""
     return xtpl_e_int(xdbl_e_int((x.re, x.im, 1, 0), C, e2, p), C, e3, p)
 
 
-def _at_infinity(t: tuple) -> bool:
+def at_infinity(t: tuple) -> bool:
+    """(X : 0) with X != 0; (0 : 0) is not a point."""
     return not (t[2] or t[3]) and bool(t[0] or t[1])
-
-
-def cleared_points(curve: MontgomeryCurve, rng: random.Random, tries: int) -> Iterator[XPoint]:
-    """[p + 1]P for the points P that curve_x_draws yields on uniform
-    GF(p^2) draws."""
-    F, C = curve.field, coeff_ints(curve.coeff())
-    for x in curve_x_draws(curve, lambda: F.random_element(rng), tries):
-        yield xpoint_from_ints(_cleared(x, C, F.e2, F.e3, F.p), F.p)
 
 
 def sample_torsion_x(
@@ -239,11 +230,11 @@ def sample_torsion_x(
     e2, e3 = (F.e2 - k, F.e3) if ell == 2 else (F.e2, F.e3 - k)
     mul_e, mul = (xdbl_e_int, xdbl_int) if ell == 2 else (xtpl_e_int, xtpl_int)
     for x0 in curve_x_draws(curve, draw, 1000):
-        P = _cleared(x0, C, e2, e3, p)
+        P = cleared(x0, C, e2, e3, p)
         below = mul_e(P, C, k - 1, p)
-        if _at_infinity(P) or _at_infinity(below):
+        if at_infinity(P) or at_infinity(below):
             continue
-        if not _at_infinity(mul(below, C, p)):
+        if not at_infinity(mul(below, C, p)):
             raise SamplingExhaustedError(f"a point of order above {ell}^{k}: malformed curve")
         top = x_affine(xpoint_from_ints(below, p))
         if avoid is None or top != avoid:
@@ -342,7 +333,7 @@ def param_gen(
         n = 2^n2 3^n3 and P != +-Q: the chord of P0 = (xP0, sqrt(rhs)) and
         -Q0, cleared."""
         yP0, yQ0 = F.sqrt(E.rhs(xP0)), F.sqrt(E.rhs(xQ0))
-        D = _cleared(E.chord_x((xP0, yP0), (xQ0, -yQ0)), C, n2, n3, p)
+        D = cleared(E.chord_x((xP0, yP0), (xQ0, -yQ0)), C, n2, n3, p)
         return x_affine(xpoint_from_ints(D, p))
 
     def sample_alice(want_zero_top: bool) -> tuple[Fp2, Fp2]:

@@ -43,6 +43,8 @@ from sidhlab.montgomery import (
     coeff_from_a,
     ladder3pt,
     x_affine,
+    xadd,
+    xdbl,
     xpoint_from_affine,
     xtpl_e,
     zero_imaginary_parts,
@@ -183,6 +185,18 @@ def sample_point_of_order(curve: ReferenceCurve, d: int, rng: random.Random) -> 
 def xpoint_infinity(field):
     """The x-only point at infinity, (1 : 0)."""
     return XPoint(field.one, field.zero)
+
+
+def xmul(k, P, coeff, field):
+    """x([k]P) by the Montgomery ladder, which, unlike ladder3pt, needs no
+    x(P - Q) and so starts from infinity."""
+    R0, R1 = xpoint_infinity(field), P
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            R0, R1 = xadd(R0, R1, P), xdbl(R1, coeff)
+        else:
+            R0, R1 = xdbl(R0, coeff), xadd(R0, R1, P)
+    return R0
 
 
 def xpoint(curve: ReferenceCurve, P: FullPoint):

@@ -210,7 +210,7 @@ def test_criterion_5_fault_is_noop(toy):
                     base_final, base_trace = derive_with_trace(toy, BOB, sk, pk)
                     assert base_trace.completed
                     targeted_in_fp = coeff_in_fp(base_trace.coeffs[i + 1])
-                    v = oracle(toy, sk, pk, i, keep_trace=True)
+                    v = oracle(toy, sk, pk, i)
                     if targeted_in_fp:
                         in_fp_runs += 1
                         assert v.bit == 1

@@ -1,8 +1,8 @@
 """The chain walker's check rule against a walker that checks every kernel.
 
 strategy_eval2, strategy_eval3 and strategy_eval4 check row 0's kernel,
-and later rows only from a singular start or after a fault that moved the
-curve; the isogeny module docstring argues that no other check can fail.
+and later rows only after a fault that moved the curve; the isogeny module
+docstring argues that no other check can fail, from a singular start too.
 Here each must give exactly what helpers.reference_walk gives, and
 strategy_eval2 also what helpers.two_power_walk gives, on what the program
 feeds them: honest keys, forged instances at each fault index, the masking
@@ -28,12 +28,10 @@ from sidhlab.montgomery import (
     coeff_ints,
     ladder3pt,
     point_ints,
-    xadd,
-    xdbl,
 )
 from sidhlab.protocol import ALICE, BOB, chain_inputs, derive, keygen, sample_torsion_x
 
-from helpers import check_each, public_keys, reference_walk, setting, two_power_walk, xpoint_infinity
+from helpers import check_each, public_keys, reference_walk, setting, two_power_walk, xmul
 
 
 def same_run(params, degree, kernel, coeff, push=(), fault_at=None, k=None):
@@ -208,18 +206,6 @@ def test_random_and_edited_keys(name, examples, monkeypatch):
         same_run(ps, 4, *alice)
 
     check_each(public_keys(name, examples, random.Random(0)), check)
-
-
-def xmul(k, P, coeff, field):
-    """x([k]P) by the Montgomery ladder, which, unlike ladder3pt, needs no
-    x(P - Q) and so starts from infinity."""
-    R0, R1 = xpoint_infinity(field), P
-    for bit in bin(k)[2:]:
-        if bit == "1":
-            R0, R1 = xadd(R0, R1, P), xdbl(R1, coeff)
-        else:
-            R0, R1 = xdbl(R0, coeff), xadd(R0, R1, P)
-    return R0
 
 
 @pytest.mark.parametrize("name", ["toy431", "mid"])

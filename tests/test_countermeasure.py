@@ -29,7 +29,7 @@ from sidhlab.montgomery import (
     xpoint_from_affine,
     xpoint_in_fp,
 )
-from sidhlab.protocol import ALICE, BOB, derive, keygen
+from sidhlab.protocol import ALICE, BOB, PublicKey, derive, keygen
 
 from helpers import ReferenceCurve, make_reject_oracle, sample_point_of_order, xpoint
 from velu_oracle import j_short_weierstrass, velu_isogeny
@@ -177,6 +177,13 @@ class TestNaiveReject:
         out = derive_bob_naive_reject(p434, skb, pka)
         assert out.accepted
         assert out.shared_j == derive(p434, BOB, skb, pka)
+
+    def test_chain_that_fails_at_row_0_is_rejected_there(self, toy):
+        """A random triple whose chain fails its first kernel check has no
+        intermediate coefficient to test: rejected at step 0."""
+        F = toy.field
+        pk = PublicKey(F(5, 7), F(11, 3), F(2, 9))
+        assert derive_bob_naive_reject(toy, 5, pk) == NaiveRejectOutcome(False, None, 0)
 
     def test_outcome_is_a_value_not_an_exception(self, toy, rng):
         out = derive_bob_naive_reject(toy, 3, keygen(toy, ALICE, 2))

@@ -10,7 +10,7 @@ from sidhlab.faultsim import (
     make_oracle,
     oracle,
 )
-from sidhlab.montgomery import affine_a_from_projective, coeff_in_fp
+from sidhlab.montgomery import XPoint, affine_a_from_projective, coeff_from_a, coeff_in_fp, x_affine
 from sidhlab.protocol import (
     ALICE,
     BOB,
@@ -22,7 +22,7 @@ from sidhlab.protocol import (
     secret_isogeny,
 )
 
-from helpers import debug_assert_forced_curve, public_basis
+from helpers import debug_assert_forced_curve, public_basis, xmul
 
 
 def truth_table(toy, sk, i, pk):
@@ -58,6 +58,30 @@ class TestOracleContract:
         for k in (0, 1, 2):
             v = oracle(toy, 5, pk, 0, PushforwardConfig(k), random.Random(k))
             assert v.bit == 0 and (k == 0 or v.failure_step == -1)
+
+    def test_nodal_curve_pk_fails_the_spot_check(self, toy):
+        """pk = x([m]G), x([3m]G), x([2m]G) for G on the nodal curve A = 2 or
+        A = -2, whose non-singular points form a group of order p^2 - 1, and
+        m = (p^2 - 1) / 3^e3.  Unmasked, every chain that completes walks
+        nodal curves to a singular final curve, which the spot check refuses:
+        bit 0 at failure step e3 for every sk and i."""
+        F, p = toy.field, toy.field.p
+        m = (p * p - 1) // 3**toy.e3
+        rng = random.Random(1)
+        for a in (2, -2):
+            coeff, completed = coeff_from_a(F(a), F), 0
+            for _ in range(3):
+                G = XPoint(F.random_element(rng), F.one)
+                pk = PublicKey(*(x_affine(xmul(n * m, G, coeff, F)) for n in (1, 3, 2)))
+                assert get_a(pk, F) == F(a)
+                for sk in toy.sk_range(BOB):
+                    for i in range(toy.e3 - 1):
+                        v = oracle(toy, sk, pk, i)
+                        assert v.bit == 0
+                        if v.trace.completed:
+                            assert v.failure_step == toy.e3
+                            completed += 1
+            assert completed, a
 
     def test_random_triples_give_a_bit_at_every_masking_degree(self, toy):
         """Random triples are almost all malformed keys (no supersingular
@@ -119,7 +143,7 @@ class TestOracleSoundness:
             for i in range(toy.e3 - 1):
                 prefix = sk % 3**i if i else 0
                 forged = forge_public_keys(prefix_walk(toy, prefix, i), rng)
-                v = oracle(toy, sk, forged.pk, i, keep_trace=True)
+                v = oracle(toy, sk, forged.pk, i)
                 if v.bit == 0:
                     continue
                 base_final, base_trace = derive_with_trace(toy, BOB, sk, forged.pk)
@@ -149,7 +173,7 @@ class TestSpotCheckShortPath:
                 forged = forge_public_keys(prefix_walk(params, sk % 3**i, i), rng)
                 for pk in (forged.pk, forged.pk_second):
                     for k in (0, 1, 2):
-                        v = oracle(params, sk, pk, i, PushforwardConfig(k), random.Random(k), keep_trace=True)
+                        v = oracle(params, sk, pk, i, PushforwardConfig(k), random.Random(k))
                         trace = v.trace
                         if k == 0:
                             assert faultsim._order_known(trace) == (v.failure_step is None)
@@ -167,8 +191,8 @@ class TestSpotCheckShortPath:
     def test_full_path_for_a_fault_that_moved_the_curve(self, toy, monkeypatch):
         """A fault on the last row of a chain from A = 6 can move the curve
         to a non-singular one that is not supersingular, and the chain still
-        completes: the full check runs and refuses the curve, where drawing
-        alone would have passed it."""
+        completes: the full check runs and refuses the curve at its first
+        point, where drawing alone would have passed it."""
         cleared = _count_cleared_points(monkeypatch)
         triple = toy.basis_xpoints(BOB)
         for sk in toy.sk_range(BOB):
@@ -185,13 +209,16 @@ class TestSpotCheckShortPath:
 
     def test_full_path_for_an_honest_key(self, toy, monkeypatch):
         """An honest Alice key's chains miss A = 6: every completed one gets
-        the full check."""
+        the full check, which clears at least one point."""
         cleared = _count_cleared_points(monkeypatch)
         pk = keygen(toy, ALICE, 3)
-        traces = [oracle(toy, sk, pk, 0, keep_trace=True).trace for sk in range(1, 9)]
-        completed = [t for t in traces if t.completed]
-        assert completed and not any(faultsim._order_known(t) for t in traces)
-        assert len(cleared) == len(completed)
+        runs = []
+        for sk in range(1, 9):
+            before = len(cleared)
+            runs.append((oracle(toy, sk, pk, 0).trace, len(cleared) - before))
+        assert any(t.completed for t, _ in runs)
+        assert not any(faultsim._order_known(t) for t, _ in runs)
+        assert all((n > 0) == t.completed for t, n in runs)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_full_path_for_a_masked_chain_that_misses_a6(self, toy, monkeypatch, k):
@@ -199,10 +226,10 @@ class TestSpotCheckShortPath:
         back to A = 6, so the masked oracle gets the full check."""
         cleared = _count_cleared_points(monkeypatch)
         forged = forge_public_keys(prefix_walk(toy, 5 % 3, 1), random.Random(49))
-        v = oracle(toy, 5, forged.pk, 1, PushforwardConfig(k), random.Random(k), keep_trace=True)
+        v = oracle(toy, 5, forged.pk, 1, PushforwardConfig(k), random.Random(k))
         assert v.trace.completed and not faultsim._order_known(v.trace)
         assert all(c.alpha != c.beta + c.beta for c in v.trace.coeffs)
-        assert len(cleared) == 1
+        assert v.bit == 1 and len(cleared) == faultsim.SPOT_CHECK_POINTS
 
     def test_recovery_never_clears_a_point(self, toy, monkeypatch):
         """Every spot check of a toy431 recovery takes the short path: with
@@ -218,21 +245,21 @@ class TestSpotCheckShortPath:
         def refuse(*args):
             raise AssertionError("the spot check cleared a point")
 
-        monkeypatch.setattr(faultsim, "cleared_points", refuse)
+        monkeypatch.setattr(faultsim, "cleared", refuse)
         assert [recover(sk, seed) for sk, seed in runs] == want
 
 
 def _count_cleared_points(monkeypatch) -> list:
-    """Record the curve of every full spot check (faultsim.cleared_points)."""
-    calls = []
-    orig = faultsim.cleared_points
+    """Record the x of every point the spot check clears (faultsim.cleared)."""
+    points = []
+    orig = faultsim.cleared
 
-    def counted(curve, *args):
-        calls.append(curve)
-        return orig(curve, *args)
+    def counted(x, *args):
+        points.append(x)
+        return orig(x, *args)
 
-    monkeypatch.setattr(faultsim, "cleared_points", counted)
-    return calls
+    monkeypatch.setattr(faultsim, "cleared", counted)
+    return points
 
 
 class TestDebugAssert:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -90,6 +91,26 @@ class TestParams:
         broken = toy._replace(xQB=toy.xPB)
         with pytest.raises(ValueError):
             broken.validate()
+
+    @pytest.mark.parametrize(
+        "sources, message",
+        [
+            ({"xPA": "xQA"}, "Alice basis is dependent"),
+            ({"xPA": "xQA", "xQA": "xPA"}, "[2^(e2-1)]QA must be (0, 0)"),
+            ({"xPB": "xDB"}, "x(PB), x(QB) must lie in GF(p)"),
+        ],
+    )
+    def test_edited_basis_file_refused(self, toy, sources, message):
+        """Each basis entry in sources takes the value of the entry named."""
+        edited = toy._replace(**{key: getattr(toy, src) for key, src in sources.items()})
+        with pytest.raises(SidhlabInputError, match=re.escape(message)):
+            loads_params(dumps_params(edited))
+
+    def test_odd_e2_file_refused(self):
+        """p = 2^3 * 3^2 - 1 = 71 is prime, but Alice's chain takes 4-isogenies."""
+        text = P47_TEXT.replace("e2=4", "e2=3").replace("e3=1", "e3=2").replace("p=2f", "p=47")
+        with pytest.raises(SidhlabInputError, match="e2 must be even"):
+            loads_params(text)
 
     @pytest.mark.parametrize("key", ["xDA", "xDB"])
     def test_wrong_difference_refused(self, toy, key):

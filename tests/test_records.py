@@ -14,7 +14,7 @@ RECORDS = {
     "protocol": {"PublicKey", "SidhParams"},
     "countermeasure": {"PushforwardConfig", "NaiveRejectOutcome"},
     "faultsim": {"OracleVerdict"},
-    "attack": {"ForgedKeys", "PrefixWalk"},
+    "attack": {"AttackState", "ForgedKeys", "PrefixWalk"},
     "cli": {"TrialReport"},
 }
 
