@@ -230,34 +230,27 @@ def candidate_kernels(walk: PrefixWalk, forged: ForgedKeys) -> tuple:
 
 def infer_trit(
     memberships: Sequence[bool],
-    verdicts: Sequence[int],
-) -> tuple[Optional[int], int]:
-    """Decide the trit from candidate GF(p)-memberships and oracle bits.
+    oracle: Callable[[PublicKey, int], int],
+    forged: ForgedKeys,
+    i: int,
+) -> tuple[int, int]:
+    """Decide trit i from the candidates' GF(p)-memberships, asking the
+    oracle forged.pk and, only when that verdict leaves more than one
+    trit, forged.pk_second.
 
-    Returns (trit, calls); trit is None when one verdict is not enough and
-    the second instance must be queried.  With c_b candidates in the class
-    the first verdict b selected: one candidate decides immediately; two
-    are separated by the second verdict, whose class is the membership of
-    candidate (t+1) mod 3; zero means the oracle is broken.
+    Returns (trit, oracle calls made).  The first verdict b keeps the
+    trits t with memberships[t] == b; the second keeps those whose shifted
+    candidate (t + 1) mod 3 has its class.  Anything but exactly one trit
+    left means the oracle is broken.
     """
-    m = tuple(bool(x) for x in memberships)
-    if len(m) != 3:
-        raise ValueError("three candidate memberships required")
-    b1 = bool(verdicts[0])
-    cands = [t for t in range(3) if m[t] == b1]
-    if not cands:
-        raise OracleContradictionError(f"verdict {int(b1)} matches no candidate of {m}")
-    if len(cands) == 1:
-        return cands[0], len(verdicts)
-    if len(verdicts) == 1:
-        return None, 1
-    b2 = bool(verdicts[1])
-    picks = [t for t in cands if m[(t + 1) % 3] == b2]
-    if len(picks) != 1:
-        raise OracleContradictionError(
-            f"verdicts ({int(b1)}, {int(b2)}) leave {len(picks)} of {cands} for {m}"
-        )
-    return picks[0], len(verdicts)
+    bit = bool(oracle(forged.pk, i))
+    cands, calls = [t for t in range(3) if memberships[t] == bit], 1
+    if len(cands) > 1:
+        bit, calls = bool(oracle(forged.pk_second, i)), 2
+        cands = [t for t in cands if memberships[(t + 1) % 3] == bit]
+    if len(cands) != 1:
+        raise OracleContradictionError(f"{calls} verdicts leave trits {cands} for {tuple(memberships)}")
+    return cands[0], calls
 
 
 def recover_key(
@@ -275,13 +268,8 @@ def recover_key(
     walk = PrefixWalk.start(params)
     for i in range(params.e3 - 1):
         forged = forge_public_keys(walk, rng)
-        cands = candidate_kernels(walk, forged)
-        memberships = tuple(xpoint_in_fp(c) for c in cands)
-        verdicts = [oracle(forged.pk, i)]
-        trit, calls = infer_trit(memberships, verdicts)
-        if trit is None:
-            verdicts.append(oracle(forged.pk_second, i))
-            trit, calls = infer_trit(memberships, verdicts)
+        memberships = [xpoint_in_fp(c) for c in candidate_kernels(walk, forged)]
+        trit, calls = infer_trit(memberships, oracle, forged, i)
         sk += trit * 3**i
         calls_per_trit.append(calls)
         if i < params.e3 - 2:

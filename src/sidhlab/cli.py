@@ -8,7 +8,9 @@ campaign goes on.  Exit status is 0 when every trial succeeded, 1 on any
 recovery mismatch or failed trial, 2 for usage or I/O problems.  Untrusted
 input that cannot be used (a parameter file, a public-key file, a public key
 whose chain degenerates) makes the library raise SidhlabInputError, a
-ValueError: a usage problem, exit 2 with one error line, never a traceback.
+ValueError, and so does an argument it refuses (a private scalar out of
+range, exponents param_gen cannot use).  main alone turns such a ValueError
+into exit 2 with one error line, never a traceback.
 """
 
 from __future__ import annotations
@@ -114,10 +116,7 @@ def _write(path: str, text: str) -> None:
 
 def params_gen(e2: int, e3: int, seed: int, out: str, name: Optional[str]):
     """Search a parameter set over p = 2^e2 * 3^e3 - 1 and write it."""
-    try:
-        ps = param_gen(e2, e3, random.Random(seed), name=name)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    ps = param_gen(e2, e3, random.Random(seed), name=name)
     _write(out, dumps_params(ps))
     print(f"p = {ps.field.p:x}")
     print(f"wrote {out}")
@@ -254,10 +253,7 @@ def countermeasure_bench(params_arg, k, trials, seed, json_out):
 def keygen_cmd(params_arg, side, sk, out):
     """Write the public key for a given private scalar."""
     ps = _load(params_arg)
-    try:
-        pk = keygen(ps, side, sk)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    pk = keygen(ps, side, sk)
     _write(out, dumps_public_key(ps, side, pk))
     print(f"wrote {out}")
 
@@ -268,11 +264,7 @@ def derive_cmd(params_arg, side, sk, pk_path):
     pk_side, pk = _parse_file("public-key", pk_path, loads_public_key, ps)
     if pk_side == side:
         raise UsageError(f"cannot derive {side} against a {pk_side} public key")
-    try:
-        j = derive(ps, side, sk, pk)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    print(ps.field.encode(j))
+    print(ps.field.encode(derive(ps, side, sk, pk)))
 
 
 def _parser() -> _Parser:
@@ -324,13 +316,14 @@ def _parser() -> _Parser:
 
 
 def main(args=None, standalone_mode: bool = True) -> None:
-    """Run the sidhlab command in args (sys.argv[1:] when None).  A usage
-    error prints one `Error:` line on stderr and exits 2; with
-    standalone_mode false it raises UsageError instead."""
+    """Run the sidhlab command in args (sys.argv[1:] when None).  The one
+    error boundary: a UsageError or a library ValueError prints one `Error:`
+    line on stderr and exits 2; with standalone_mode false it is re-raised
+    unchanged instead."""
     try:
         options = vars(_parser().parse_args(args))
         options.pop("run")(**options)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         if not standalone_mode:
             raise
         print(f"Error: {exc}", file=sys.stderr)

@@ -72,24 +72,25 @@ def affine_a_from_projective(coeff: ProjCoeff) -> Fp2:
     return (s + s) * d.inv()
 
 
+def _ratio_in_fp(u: Fp2, v: Fp2) -> bool:
+    """True iff u/v lies in GF(p), for (u : v) != (0 : 0): with u = a + ib
+    and v = c + id, that is a*d - b*c = 0."""
+    return (u.re * v.im - u.im * v.re) % u.p == 0
+
+
 def coeff_in_fp(coeff: ProjCoeff) -> bool:
-    """True iff the affine A lies in GF(p): with alpha = a + ib and
-    beta = c + id, that is a*d - b*c = 0."""
+    """True iff the affine A lies in GF(p), that is alpha/beta does."""
     if (coeff.alpha - coeff.beta).is_zero():
         raise DegenerateCoefficientError("alpha = beta")
-    a, b = coeff.alpha.re, coeff.alpha.im
-    c, d = coeff.beta.re, coeff.beta.im
-    return (a * d - b * c) % coeff.alpha.p == 0
+    return _ratio_in_fp(coeff.alpha, coeff.beta)
 
 
 def xpoint_in_fp(P: XPoint) -> bool:
-    """True iff the affine x-coordinate lies in GF(p): x0*z1 = z0*x1 for
-    (X : Z) = (x0 + i*x1 : z0 + i*z1).  Infinity counts as in GF(p)."""
+    """True iff the affine x-coordinate X/Z lies in GF(p).  Infinity counts
+    as in GF(p)."""
     if P.is_degenerate():
         raise ValueError("(0 : 0) is not a point")
-    x0, x1 = P.X.re, P.X.im
-    z0, z1 = P.Z.re, P.Z.im
-    return (x0 * z1 - z0 * x1) % P.X.p == 0
+    return _ratio_in_fp(P.X, P.Z)
 
 
 def zero_imaginary_parts(coeff: ProjCoeff) -> ProjCoeff:
@@ -276,12 +277,6 @@ def exact_order_multiple_int(P: tuple, C: tuple, ell: int, e: int, p: int) -> Op
     return below
 
 
-def _result(out: tuple, P: XPoint, t: tuple) -> XPoint:
-    """A kernel's output as an XPoint: P itself when the kernel handed back
-    its input t (no step taken, or a fixed point of xtpl)."""
-    return P if out is t else xpoint_from_ints(out, P.X.p)
-
-
 def xdbl(P: XPoint, coeff: ProjCoeff) -> XPoint:
     p = P.X.p
     return xpoint_from_ints(xdbl_int(point_ints(P), coeff_ints(coeff), p), p)
@@ -293,13 +288,13 @@ def xadd(P: XPoint, Q: XPoint, diff: XPoint) -> XPoint:
 
 
 def xtpl(P: XPoint, coeff: ProjCoeff) -> XPoint:
-    t = point_ints(P)
-    return _result(xtpl_int(t, coeff_ints(coeff), P.X.p), P, t)
+    p = P.X.p
+    return xpoint_from_ints(xtpl_int(point_ints(P), coeff_ints(coeff), p), p)
 
 
 def xtpl_e(P: XPoint, coeff: ProjCoeff, e: int) -> XPoint:
-    t = point_ints(P)
-    return _result(xtpl_e_int(t, coeff_ints(coeff), e, P.X.p), P, t)
+    p = P.X.p
+    return xpoint_from_ints(xtpl_e_int(point_ints(P), coeff_ints(coeff), e, p), p)
 
 
 def ladder3pt(k: int, xP: XPoint, xQ: XPoint, xPQ: XPoint, coeff: ProjCoeff) -> XPoint:
@@ -308,8 +303,7 @@ def ladder3pt(k: int, xP: XPoint, xQ: XPoint, xPQ: XPoint, coeff: ProjCoeff) -> 
         raise ValueError("scalar must be nonnegative")
     p = xP.X.p
     C = coeff_ints(coeff)
-    t = point_ints(xP)
-    R0, R1, R2 = point_ints(xQ), t, point_ints(xPQ)  # R2 = R1 - R0 throughout
+    R0, R1, R2 = point_ints(xQ), point_ints(xP), point_ints(xPQ)  # R2 = R1 - R0 throughout
     while k:
         if k & 1:
             R1 = xadd_int(R1, R0, R2, p)
@@ -317,7 +311,7 @@ def ladder3pt(k: int, xP: XPoint, xQ: XPoint, xPQ: XPoint, coeff: ProjCoeff) -> 
             R2 = xadd_int(R2, R0, R1, p)  # diff slot holds x(R2 + R0) = x(R1)
         R0 = xdbl_int(R0, C, p)
         k >>= 1
-    return _result(R1, xP, t)
+    return xpoint_from_ints(R1, p)
 
 
 def xpoint_from_affine(x: Fp2, field: Fp2Field) -> XPoint:

@@ -95,9 +95,6 @@ class SidhParams(NamedTuple):
     def coeff0(self) -> ProjCoeff:
         return coeff_from_a(self.field(6), self.field)
 
-    def order_of(self, side: str) -> int:
-        return 1 << self.e2 if side == ALICE else 3**self.e3
-
     def sk_range(self, side: str) -> range:
         """The honest private-key sampling range [1, l^(e-1) - 1]."""
         if side == ALICE:
@@ -300,7 +297,7 @@ def check_sk(params: SidhParams, side: str, sk: int) -> None:
     """A plain ValueError unless side is alice or bob and 0 <= sk < l^e."""
     if side not in (ALICE, BOB):
         raise ValueError(f"unknown side {side!r}")
-    if not 0 <= sk < params.order_of(side):
+    if not 0 <= sk < (1 << params.e2 if side == ALICE else 3**params.e3):
         raise ValueError("private scalar out of range")
 
 

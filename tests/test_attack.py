@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from sidhlab.attack import (
     AttackState,
+    ForgedKeys,
     OracleContradictionError,
     candidate_kernels,
     forge_public_keys,
@@ -223,34 +225,71 @@ def test_first_p434_trits_match_the_ladder_recipes(p434):
         walk = walk.step(sk // 3**i % 3)
 
 
+class ScriptedOracle:
+    """Answers bits[0] to the first query and bits[1] to the second, and
+    records which of the two instances each query sent."""
+
+    def __init__(self, *bits):
+        self.bits, self.asked = list(bits), []
+
+    def __call__(self, pk, i):
+        assert i == 4
+        self.asked.append(pk)
+        return self.bits[len(self.asked) - 1]
+
+
+FORGED = ForgedKeys("pk", "pk_second", ())
+
+
 class TestInferTrit:
+    def decide(self, memberships, *bits):
+        oracle = ScriptedOracle(*bits)
+        return infer_trit(memberships, oracle, FORGED, 4), oracle.asked
+
     def test_single_call_hit(self):
         # memberships: only candidate 0 in GF(p); verdict 1 => trit 0
-        assert infer_trit((True, False, False), [1]) == (0, 1)
+        assert self.decide((True, False, False), 1) == ((0, 1), ["pk"])
 
     def test_two_calls_resolves_two(self):
         # same row, verdicts (0, then 1) => trit 2
-        assert infer_trit((True, False, False), [0, 1]) == (2, 2)
+        assert self.decide((True, False, False), 0, 1) == ((2, 2), ["pk", "pk_second"])
 
     def test_two_calls_elimination(self):
         # same row, verdicts (0, 0) => trit 1 by discard
-        assert infer_trit((True, False, False), [0, 0]) == (1, 2)
+        assert self.decide((True, False, False), 0, 0) == ((1, 2), ["pk", "pk_second"])
 
     def test_undecided_asks_for_second(self):
-        assert infer_trit((True, False, False), [0]) == (None, 1)
+        # verdict 0 leaves trits 1 and 2, so the second instance is asked
+        _, asked = self.decide((True, False, False), 0, 1)
+        assert asked == ["pk", "pk_second"]
+
+    def test_verdicts_are_read_as_bools(self):
+        assert self.decide((False, True, False), 7) == ((1, 1), ["pk"])
+        assert self.decide((False, True, False), 0, 5) == ((0, 2), ["pk", "pk_second"])
 
     def test_contradictions(self):
-        with pytest.raises(OracleContradictionError):
-            infer_trit((False, False, False), [1])
-        with pytest.raises(OracleContradictionError):
-            infer_trit((True, True, True), [0])
-        with pytest.raises(OracleContradictionError):
-            # degenerate all-in pattern cannot be resolved by two verdicts
-            infer_trit((True, True, True), [1, 1])
+        cases = [
+            ((False, False, False), (1,), ["pk"]),  # no trit left: no second query
+            ((True, True, True), (0,), ["pk"]),
+            # three trits left: the second instance is asked, and cannot settle them
+            ((True, True, True), (1, 1), ["pk", "pk_second"]),
+        ]
+        for memberships, bits, asked in cases:
+            oracle = ScriptedOracle(*bits)
+            with pytest.raises(OracleContradictionError):
+                infer_trit(memberships, oracle, FORGED, 4)
+            assert oracle.asked == asked
 
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            infer_trit((True, False), [1])
+    def test_second_instance_asked_exactly_when_more_than_one_trit_is_left(self):
+        for memberships in itertools.product((False, True), repeat=3):
+            for first, second in itertools.product((0, 1), repeat=2):
+                left = sum(m == bool(first) for m in memberships)
+                oracle = ScriptedOracle(first, second)
+                try:
+                    infer_trit(memberships, oracle, FORGED, 4)
+                except OracleContradictionError:
+                    pass
+                assert oracle.asked == (["pk", "pk_second"] if left > 1 else ["pk"])
 
 
 class TestRecovery:
@@ -280,13 +319,8 @@ class TestRecovery:
             trits = []
             for negate in (False, True):
                 pk, pk_second = reference_forge(toy, prefix, i, random.Random(60), negate)
-                m = tuple(xpoint_in_fp(c) for c in reference_candidates(walk, pk))
-                verdicts = [orc(pk, i)]
-                trit, _ = infer_trit(m, verdicts)
-                if trit is None:
-                    verdicts.append(orc(pk_second, i))
-                    trit, _ = infer_trit(m, verdicts)
-                trits.append(trit)
+                m = [xpoint_in_fp(c) for c in reference_candidates(walk, pk)]
+                trits.append(infer_trit(m, orc, ForgedKeys(pk, pk_second, ()), i)[0])
             assert trits[0] == trits[1] == (sk // 3) % 3
 
     def test_broken_oracle_raises(self, toy, rng):

@@ -10,7 +10,15 @@ from sidhlab.faultsim import (
     make_oracle,
     oracle,
 )
-from sidhlab.montgomery import XPoint, affine_a_from_projective, coeff_from_a, coeff_in_fp, x_affine
+from sidhlab.isogeny import ChainTrace
+from sidhlab.montgomery import (
+    ProjCoeff,
+    XPoint,
+    affine_a_from_projective,
+    coeff_from_a,
+    coeff_in_fp,
+    x_affine,
+)
 from sidhlab.protocol import (
     ALICE,
     BOB,
@@ -298,3 +306,12 @@ class TestTraceDump:
         _, trace = derive_with_trace(toy, BOB, sk, forged.pk, 1)
         text = dump_chain_trace(trace, toy.field)
         assert "fault_at=1" in text and "degenerate_at=" in text
+
+    def test_dump_marks_a_degenerate_coefficient(self, toy):
+        F = toy.field
+        alpha = F(5)
+        trace = ChainTrace([toy.coeff0, ProjCoeff(alpha, alpha), coeff_from_a(F(7), F)])
+        lines = dump_chain_trace(trace, F).splitlines()
+        assert lines[1] == f"1 alpha={F.encode(alpha)} beta={F.encode(alpha)} A=- degenerate"
+        assert lines[0].endswith(f"A={F.encode(F(6))} fp") and lines[2].endswith(f"A={F.encode(F(7))} fp")
+        assert len(lines) == 3
