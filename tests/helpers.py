@@ -533,7 +533,9 @@ def _ref_has_order_4(R, coeff):
 
 def reference_walk(degree, R, coeff, strategy, push_points=(), fault_at=None, field=None):
     """strategy_eval2 (degree 2, field given), strategy_eval3 (degree 3) or
-    strategy_eval4 (degree 4) with every kernel checked."""
+    strategy_eval4 (degree 4) with every kernel checked.  A fault moved the
+    curve when the zeroed (alpha' : beta') is not the honest (alpha : beta),
+    i.e. alpha * beta' != alpha' * beta."""
 
     def ref_xisog2_on(K, c):
         return ref_xisog2_zero(c, field) if K.X.is_zero() else ref_xisog2(K)
@@ -556,7 +558,8 @@ def reference_walk(degree, R, coeff, strategy, push_points=(), fault_at=None, fi
             return coeff, pushed, trace
         coeff, data = isog(R, coeff)
         if row == fault_at:
-            coeff = zero_imaginary_parts(coeff)
+            honest, coeff = coeff, zero_imaginary_parts(coeff)
+            trace.fault_moved_curve = honest.alpha * coeff.beta != coeff.alpha * honest.beta
             trace.fault_fired_at = row
         trace.coeffs.append(coeff)
         if stack:

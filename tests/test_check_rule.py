@@ -36,9 +36,10 @@ from helpers import check_each, public_keys, reference_walk, setting, two_power_
 
 def same_run(params, degree, kernel, coeff, push=(), fault_at=None, k=None):
     """Run the chain both ways (a degree-2 chain of k steps three ways),
-    assert every output is the same int for int, and return the walker's
-    (final, pushed, trace).  A degree-2 chain that raises a SidhlabInputError
-    raises it every way."""
+    assert every output is the same int for int and the fault moved the
+    curve in both or in neither, and return the walker's (final, pushed,
+    trace).  A degree-2 chain that raises a SidhlabInputError raises it
+    every way."""
     F = params.field
     if degree == 2:
         strategy = list(range(k - 1, 0, -1))
@@ -66,10 +67,11 @@ def same_run(params, degree, kernel, coeff, push=(), fault_at=None, k=None):
         else:
             with pytest.raises(DegenerateChainError):
                 two_power_walk(kernel, coeff, k, push, F)
-    assert (trace.completed, trace.degenerate_at, trace.fault_fired_at) == (
+    assert (trace.completed, trace.degenerate_at, trace.fault_fired_at, trace.fault_moved_curve) == (
         ref_trace.completed,
         ref_trace.degenerate_at,
         ref_trace.fault_fired_at,
+        ref_trace.fault_moved_curve,
     )
     assert [coeff_ints(c) for c in trace.coeffs] == [coeff_ints(c) for c in ref_trace.coeffs]
     assert [point_ints(K) for K in trace.kernels] == [point_ints(K) for K in ref_trace.kernels]

@@ -11,9 +11,7 @@ from sidhlab.montgomery import (
     coeff_in_fp,
     j_invariant,
     ladder3pt,
-    x_affine,
     xdbl,
-    xpoint_from_affine,
     xpoint_in_fp,
     xtpl,
     xtpl_e,
@@ -33,16 +31,6 @@ from helpers import (
 @pytest.fixture(scope="module")
 def E(F431):
     return ReferenceCurve(F431(6), F431)
-
-
-def on_curve_xs(F, E):
-    """Every x-coordinate of a point of E(F_p^2) (not the twist)."""
-    p = int(F.p)
-    for re in range(p):
-        for im in range(p):
-            x = F(re, im)
-            if F.is_square(E.rhs(x)):
-                yield x
 
 
 class TestDoublingTripling:
@@ -71,48 +59,11 @@ class TestDoublingTripling:
         assert xdbl(inf, E.coeff()).is_infinity()
         assert xtpl(inf, E.coeff()).is_infinity()
 
-    def test_exhaustive_against_full_point(self, F431, E):
-        """x-only doubling and tripling agree with the affine group law for
-        every point of E(F_p^2)."""
-        coeff = E.coeff()
-        count = 0
-        for x in on_curve_xs(F431, E):
-            P = E.lift_x(x)
-            xp = xpoint_from_affine(x, F431)
-            got2, want2 = xdbl(xp, coeff), E.double(P)
-            if want2.infinity:
-                assert got2.is_infinity()
-            else:
-                assert x_affine(got2) == want2.x
-            got3, want3 = xtpl(xp, coeff), E.scalar_mul(3, P)
-            if want3.infinity:
-                assert got3.is_infinity()
-            else:
-                assert x_affine(got3) == want3.x
-            count += 1
-        assert count > 40000  # roughly half of p^2
-
 
 class TestLadder:
     def test_k_zero_returns_p(self, toy, F431, E):
         xP, xQ, xD = toy.basis_xpoints("bob")
         assert ladder3pt(0, xP, xQ, xD, E.coeff()) == xP
-
-    def test_exhaustive_toy_scalars(self, toy, F431, E, rng):
-        coeff = E.coeff()
-        P = E.lift_x(toy.xPB)
-        Q = E.lift_x(toy.xQB)
-        if E.sub(P, Q).x != toy.xDB:
-            Q = E.negate(Q)
-        assert E.sub(P, Q).x == toy.xDB
-        xP, xQ, xD = toy.basis_xpoints("bob")
-        for k in range(27):
-            got = ladder3pt(k, xP, xQ, xD, coeff)
-            want = E.add(P, E.scalar_mul(k, Q))
-            if want.infinity:
-                assert got.is_infinity()
-            else:
-                assert x_affine(got) == want.x
 
     def test_negative_scalar_rejected(self, toy, E):
         xP, xQ, xD = toy.basis_xpoints("bob")
@@ -146,20 +97,6 @@ class TestCoefficientForms:
 
     def test_coeff_in_fp_scaled_pair(self, F431):
         assert coeff_in_fp(ProjCoeff(F431(2, 4), F431(1, 2)))  # (2:1) times 1+2i
-
-    def test_membership_equivalence_random(self, F431, rng):
-        """a*d - b*c = 0 <=> affine A in GF(p), both construction styles."""
-        for _ in range(10000):
-            if rng.random() < 0.5:
-                a0, c0 = rng.randrange(431), rng.randrange(431)
-                lam = F431.random_nonzero(rng)
-                coeff = ProjCoeff(F431(a0) * lam, F431(c0) * lam)
-            else:
-                coeff = ProjCoeff(F431.random_element(rng), F431.random_element(rng))
-            if (coeff.alpha - coeff.beta).is_zero():
-                continue
-            expected = affine_a_from_projective(coeff).im == 0
-            assert coeff_in_fp(coeff) == expected
 
 
 class TestXPointMembership:
