@@ -97,14 +97,17 @@ def derive_bob_randomized(
 
 def derive_bob_naive_reject(params: SidhParams, sk: int, pk: PublicKey) -> NaiveRejectOutcome:
     """Honest derive that aborts when any intermediate codomain coefficient
-    (isogenies 1 .. e3-1) lies in GF(p)."""
+    (isogenies 1 .. e3-1) lies in GF(p).
+
+    coeff_in_fp raises only on alpha = beta, and no row tested here has it:
+    the rows exist only after row 0's kernel passed its order check, every
+    later kernel then has exact order 3 (isogeny's module docstring, nodal
+    starts included), and xisog3_int's alpha' - beta' = (X - Z)(3X + Z)^3 -
+    (X + Z)(3X - Z)^3 = -16 X Z^3 is nonzero for such a kernel."""
     final, trace = derive_with_trace(params, BOB, sk, pk)
     limit = min(params.e3 - 1, len(trace.coeffs) - 1)
     for step in range(1, limit + 1):
-        try:
-            if coeff_in_fp(trace.coeffs[step]):
-                return NaiveRejectOutcome(accepted=False, rejected_step=step)
-        except ValueError:
+        if coeff_in_fp(trace.coeffs[step]):
             return NaiveRejectOutcome(accepted=False, rejected_step=step)
     if not trace.completed:
         return NaiveRejectOutcome(accepted=False, rejected_step=trace.degenerate_at)

@@ -96,7 +96,7 @@ class Fp2:
     Treat as immutable (nothing in this package mutates one after creation;
     runtime enforcement is skipped because these are built millions of times
     per attack trial).  Arithmetic assumes both operands share p: no
-    per-operation field check in the hot path.
+    per-operation field check in the hot path.  Not hashable.
     """
 
     __slots__ = ("re", "im", "p")
@@ -163,9 +163,6 @@ class Fp2:
             return NotImplemented
         return self.re == other.re and self.im == other.im and self.p == other.p
 
-    def __hash__(self):
-        return hash((self.re, self.im, self.p))
-
     def __repr__(self):
         return f"Fp2({self.re}, {self.im})"
 
@@ -173,7 +170,8 @@ class Fp2:
 class Fp2Field:
     """GF(p^2) for p = 2^e2 * 3^e3 - 1, built from the exponents alone and
     refused unless p is prime; e2 >= 2 makes p = 3 (mod 4), which _sqrt_fp
-    relies on.  Element construction, square roots, serialization."""
+    relies on.  Element construction, square roots, serialization.  Fields
+    compare by identity, elements by value."""
 
     def __init__(self, e2: int, e3: int):
         if e2 < 2 or e3 < 1:
@@ -190,12 +188,6 @@ class Fp2Field:
 
     def __call__(self, re, im=0) -> Fp2:
         return Fp2(re, im, self.p)
-
-    def __eq__(self, other) -> bool:  # p fixes the exponents: one field per p
-        return isinstance(other, Fp2Field) and self.p == other.p
-
-    def __hash__(self):
-        return hash(self.p)
 
     def random_element(self, rng: random.Random) -> Fp2:
         return Fp2._raw(rng.randrange(self.p), rng.randrange(self.p), self.p)
@@ -215,11 +207,9 @@ class Fp2Field:
         return _jacobi(v, self.p)
 
     def _sqrt_fp(self, v):
-        """Square root in GF(p) via v^((p+1)/4); p = 3 (mod 4)."""
-        r = pow(v, (self.p + 1) >> 2, self.p)
-        if (r * r) % self.p != v % self.p:
-            raise ValueError("not a square in GF(p)")
-        return r
+        """A square root of the square v in GF(p), v^((p+1)/4) as p = 3
+        (mod 4); sqrt passes only squares (its docstring says why)."""
+        return pow(v, (self.p + 1) >> 2, self.p)
 
     # --- squares ------------------------------------------------------------
 
@@ -237,7 +227,12 @@ class Fp2Field:
         """Canonical square root: of the two roots +-r, the one whose
         (im, re) pair is lexicographically smaller as integers.
 
-        Raises ValueError for non-squares.
+        Raises ValueError for non-squares; the root it finds squares to x.
+        For im = 0, re or -re is a square in GF(p) (-1 is not, p = 3 mod 4).
+        For im != 0, the roots (re +- s)/2 of t^2 - re t - im^2/4, with
+        s^2 = re^2 + im^2, have the non-square product -im^2/4, so one is a
+        nonzero square t, and (r + i im/(2r))^2 = t + t' + i im = x for
+        r^2 = t and t' = -im^2/(4t) the other root.
         """
         p = self.p
         if x.is_zero():
@@ -260,8 +255,6 @@ class Fp2Field:
             re = self._sqrt_fp(t)
             im = (x.im * pow(2 * re, -1, p)) % p
             root = Fp2._raw(re, im, p)
-        if root.sqr() != x:
-            raise ValueError("not a square in GF(p^2)")
         neg = -root
         return root if (root.im, root.re) <= (neg.im, neg.re) else neg
 

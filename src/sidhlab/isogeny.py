@@ -86,17 +86,16 @@ class IsogenyStep(NamedTuple):
     eval_data: tuple
 
 
-class ChainTrace:
+class ChainTrace(NamedTuple):
     """Per-run record: coefficients E_0..E_e (post-fault values included),
     each step's kernel x-point, where (if anywhere) the chain went bad, and
     whether the fault moved the curve (alpha * beta' != alpha' * beta)."""
 
-    def __init__(self, coeffs: list) -> None:
-        self.coeffs = coeffs
-        self.kernels: list = []
-        self.degenerate_at: Optional[int] = None
-        self.fault_fired_at: Optional[int] = None
-        self.fault_moved_curve = False
+    coeffs: tuple
+    kernels: tuple
+    degenerate_at: Optional[int]
+    fault_fired_at: Optional[int]
+    fault_moved_curve: bool
 
     @property
     def completed(self) -> bool:
@@ -355,28 +354,29 @@ def _walk(R, coeff, strategy, push_points, fault_at, mul_e, per_leaf, has_order,
     C = coeff_ints(coeff)
     R = point_ints(R)
     pushed = [point_ints(Q) for Q in push_points]
-    trace = ChainTrace(coeffs=[coeff])
-    stack: list[tuple] = []
+    coeffs, kernels, stack = [coeff], [], []
+    degenerate_at, fired_at, moved = None, None, False
     for row, moves in enumerate(_schedule(strategy, len(strategy) + 1)):
         for m in moves:
             stack.append(R)
             R = mul_e(R, C, per_leaf * m, p)
-        trace.kernels.append(xpoint_from_ints(R, p))
-        if (row == 0 or trace.fault_moved_curve) and not has_order(R, C, p):
-            trace.degenerate_at = row
+        kernels.append(xpoint_from_ints(R, p))
+        if (row == 0 or moved) and not has_order(R, C, p):
+            degenerate_at = row
             break
         C, data = isog(R, C, p)
         coeff = coeff_from_ints(C, p)
         if row == fault_at:
             coeff = zero_imaginary_parts(coeff)
             C, honest_C = coeff_ints(coeff), C
-            trace.fault_moved_curve = not _same_curve(honest_C, C, p)
-            trace.fault_fired_at = row
-        trace.coeffs.append(coeff)
+            moved = not _same_curve(honest_C, C, p)
+            fired_at = row
+        coeffs.append(coeff)
         if stack:
             stack = [ev(pt, data, p) for pt in stack]
             R = stack.pop()
         pushed = [ev(pt, data, p) for pt in pushed]
+    trace = ChainTrace(tuple(coeffs), tuple(kernels), degenerate_at, fired_at, moved)
     return coeff, [xpoint_from_ints(Q, p) for Q in pushed], trace
 
 

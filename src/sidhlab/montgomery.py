@@ -319,8 +319,7 @@ def xpoint_from_affine(x: Fp2, field: Fp2Field) -> XPoint:
 
 
 def x_affine(P: XPoint) -> Fp2:
-    if P.Z.is_zero():
-        raise ZeroDivisionError("point at infinity has no affine x")
+    """X/Z; at infinity Z.inv() raises ZeroDivisionError."""
     return P.X * P.Z.inv()
 
 

@@ -317,7 +317,7 @@ def prefix_chain(params, sk_prefix, i, inputs, push):
     x(P - Q)), pushing the given points; strategy_eval3's result shape."""
     coeff, xP, xQ, xD = inputs
     if i == 0:
-        return coeff, list(push), ChainTrace(coeffs=[coeff])
+        return coeff, list(push), ChainTrace((coeff,), (), None, None, False)
     kernel = xtpl_e(ladder3pt(sk_prefix, xP, xQ, xD, coeff), coeff, params.e3 - i)
     return strategy_eval3(kernel, coeff, balanced_strategy(i), push)
 
@@ -545,28 +545,28 @@ def reference_walk(degree, R, coeff, strategy, push_points=(), fault_at=None, fi
         3: (ref_xtpl_e, 1, _ref_has_order_3, lambda K, c: ref_xisog3(K), ref_xeval3),
         4: (ref_xdbl_e, 2, _ref_has_order_4, lambda K, c: ref_xisog4(K), ref_xeval4),
     }[degree]
-    trace = ChainTrace(coeffs=[coeff])
+    coeffs, kernels, stack = [coeff], [], []
+    degenerate_at, fired_at, moved = None, None, False
     pushed = list(push_points)
-    stack = []
     for row, moves in enumerate(schedule(strategy, len(strategy) + 1)):
         for m in moves:
             stack.append(R)
             R = mul_e(R, coeff, per_leaf * m)
-        trace.kernels.append(R)
+        kernels.append(R)
         if not has_order(R, coeff):
-            trace.degenerate_at = row
-            return coeff, pushed, trace
+            degenerate_at = row
+            break
         coeff, data = isog(R, coeff)
         if row == fault_at:
             honest, coeff = coeff, zero_imaginary_parts(coeff)
-            trace.fault_moved_curve = honest.alpha * coeff.beta != coeff.alpha * honest.beta
-            trace.fault_fired_at = row
-        trace.coeffs.append(coeff)
+            moved = honest.alpha * coeff.beta != coeff.alpha * honest.beta
+            fired_at = row
+        coeffs.append(coeff)
         if stack:
             stack = [ev(pt, data) for pt in stack]
             R = stack.pop()
         pushed = [ev(pt, data) for pt in pushed]
-    return coeff, pushed, trace
+    return coeff, pushed, ChainTrace(tuple(coeffs), tuple(kernels), degenerate_at, fired_at, moved)
 
 
 # a parameter set with e3 = 1, as params gen wrote it before such sets were

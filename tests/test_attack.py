@@ -17,6 +17,7 @@ from sidhlab.attack import (
 )
 from sidhlab.faultsim import make_oracle
 from sidhlab.montgomery import (
+    XPoint,
     affine_a_from_projective,
     ladder3pt,
     x_affine,
@@ -169,6 +170,21 @@ class TestCarriedWalk:
     def test_step_rejects_a_non_trit(self, toy):
         with pytest.raises(ValueError):
             PrefixWalk.start(toy).step(3)
+
+    def test_step_whose_kernel_fails_its_check_contradicts(self, toy):
+        """PrefixWalk.step's raise on a degenerate attacker chain: a = (0, 0)
+        has order 2, so its tripled kernel fails row 0's order-3 check."""
+        F = toy.field
+        walk = PrefixWalk.start(toy)._replace(a=XPoint(F.zero, F.one))
+        with pytest.raises(OracleContradictionError, match="attacker chain degenerate at step 0"):
+            walk.step(0)
+
+    def test_step_whose_dual_misses_the_model_contradicts(self, toy):
+        """PrefixWalk.step's raise on a dual that lands off E_i's model: the
+        walk claims A = 7 for the A = 6 curve."""
+        walk = PrefixWalk.start(toy)._replace(A=toy.field(7))
+        with pytest.raises(OracleContradictionError, match="dual of step 0 misses the model of E_0"):
+            walk.step(0)
 
 
 def _chain(xP, xQ, xD, k, digits, coeff):

@@ -497,6 +497,21 @@ class TestCountermeasureBench:
         assert data["derive_mismatches"] == 0
         assert data["overhead_ratio"] > 1.0
 
+    def test_bench_derive_mismatch_sets_exit_one(self, runner, monkeypatch):
+        """countermeasure bench's exit 1: a masked derive that returns a
+        wrong j counts as a mismatch in every trial."""
+        import sidhlab.countermeasure as cm
+
+        real = cm.derive_bob_randomized
+        monkeypatch.setattr(
+            cm, "derive_bob_randomized", lambda params, *args: real(params, *args) + params.field.one
+        )
+        res = runner.invoke(
+            main, ["countermeasure", "bench", "--params", "toy431", "--k", "2", "--trials", "3"]
+        )
+        assert res.exit_code == 1, res.output
+        assert json.loads(res.stdout)["derive_mismatches"] == 3
+
     def test_bench_k0_overhead_near_one(self, runner):
         res = runner.invoke(
             main, ["countermeasure", "bench", "--params", "toy431", "--k", "0", "--trials", "8"]

@@ -9,6 +9,7 @@ from sidhlab.attack import (
     forge_public_keys,
     prefix_walk,
 )
+from sidhlab import countermeasure
 from sidhlab.countermeasure import (
     NaiveRejectOutcome,
     PushforwardConfig,
@@ -20,6 +21,7 @@ from sidhlab.field import SidhlabInputError
 from sidhlab.isogeny import DegenerateChainError, StrategyError, strategy_eval2, xeval2_int, xisog2_int
 from sidhlab.montgomery import (
     MontgomeryCurve,
+    SamplingExhaustedError,
     affine_a_from_projective,
     coeff_from_a,
     coeff_from_ints,
@@ -29,7 +31,7 @@ from sidhlab.montgomery import (
     xpoint_from_affine,
     xpoint_in_fp,
 )
-from sidhlab.protocol import ALICE, BOB, PublicKey, derive, keygen
+from sidhlab.protocol import ALICE, BOB, PublicKey, derive, keygen, sample_torsion_x
 
 from helpers import ReferenceCurve, make_reject_oracle, sample_point_of_order, xpoint
 from velu_oracle import j_short_weierstrass, velu_isogeny
@@ -116,6 +118,20 @@ class TestRandomizedPushforward:
                     call()
                 assert not isinstance(info.value, SidhlabInputError)
 
+    def test_gives_up_without_a_spanning_pair(self, toy, rng, monkeypatch):
+        """derive_bob_randomized's raise after 100 pairs whose tops agree: a
+        sampler that repeats its first result never spans the 2^k-torsion."""
+        first = []
+
+        def repeat(*args, **kwargs):
+            if not first:
+                first.append(sample_torsion_x(*args, **kwargs))
+            return first[0]
+
+        monkeypatch.setattr(countermeasure, "sample_torsion_x", repeat)
+        with pytest.raises(SamplingExhaustedError, match="no spanning 2-power pair"):
+            derive_bob_randomized(toy, 5, keygen(toy, ALICE, 3), PushforwardConfig(2), rng)
+
     def test_p434_round_trip(self, p434, rng):
         ska = p434.sample_sk(ALICE, rng)
         skb = p434.sample_sk(BOB, rng)
@@ -199,3 +215,10 @@ class TestFaultlessAttack:
     def test_an_oracle_that_always_rejects_leaves_an_exhaustive_search(self, toy):
         for sk in range(27):
             assert faultless_attack(toy, lambda pk: True, keygen(toy, BOB, sk), random.Random(5)) == sk
+
+    def test_an_oracle_that_always_rejects_exhausts_the_budget_at_e3_13(self, mid):
+        """faultless_attack's budget raise: every guess rejects, so the
+        depth-first search spends its 3^8 descents under the first trits 0
+        and 1, before it tries the key's, 2."""
+        with pytest.raises(OracleContradictionError, match="search budget exhausted"):
+            faultless_attack(mid, lambda pk: True, keygen(mid, BOB, 5), random.Random(5))

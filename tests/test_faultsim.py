@@ -310,7 +310,8 @@ class TestTraceDump:
     def test_dump_marks_a_degenerate_coefficient(self, toy):
         F = toy.field
         alpha = F(5)
-        trace = ChainTrace([toy.coeff0, ProjCoeff(alpha, alpha), coeff_from_a(F(7), F)])
+        coeffs = (toy.coeff0, ProjCoeff(alpha, alpha), coeff_from_a(F(7), F))
+        trace = ChainTrace(coeffs, (), None, None, False)
         lines = dump_chain_trace(trace, F).splitlines()
         assert lines[1] == f"1 alpha={F.encode(alpha)} beta={F.encode(alpha)} A=- degenerate"
         assert lines[0].endswith(f"A={F.encode(F(6))} fp") and lines[2].endswith(f"A={F.encode(F(7))} fp")

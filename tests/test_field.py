@@ -224,6 +224,9 @@ class TestFieldParams:
             if any(n % q == 0 for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
                 continue
             assert _strong_lucas_probable_prime(n) == (is_probable_prime(n) or n in slpsp), n
+        # the loop skips every n with a factor up to 37, so it never reaches the
+        # gcd(D, n) > 1 return: 55 = 5 * 11 meets it at D = 5, 91 = 7 * 13 at D = -7
+        assert not _strong_lucas_probable_prime(55) and not _strong_lucas_probable_prime(91)
 
     def test_rejects_composites_that_fool_small_bases(self):
         assert not is_probable_prime(3825123056546413051)  # strong psp to bases 2..23

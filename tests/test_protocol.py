@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from sidhlab.field import SidhlabInputError
+from sidhlab import protocol
+from sidhlab.field import Fp2Field, SidhlabInputError
 from sidhlab.isogeny import strategy_eval3
 from sidhlab.montgomery import (
     MontgomeryCurve,
@@ -78,6 +79,30 @@ class TestParams:
         with pytest.raises(SidhlabInputError, match="line break or surrounding blanks"):
             param_gen(4, 3, random.Random(1), name=name)
 
+    def test_param_gen_gives_up_without_a_zero_top(self, monkeypatch):
+        """param_gen's raise when 1000 draws give Alice no x(Q_A) whose top
+        is (0, 0): every sampled top is 1 here."""
+        one = Fp2Field(4, 3).one
+        monkeypatch.setattr(protocol, "sample_torsion_x", lambda *args: (one, None, one))
+        with pytest.raises(SamplingExhaustedError, match="no suitable 2-power basis point"):
+            param_gen(4, 3, random.Random(1))
+
+    def test_param_gen_gives_up_without_an_independent_bob_basis(self, monkeypatch):
+        """param_gen's raise when 1000 Bob pairs are dependent: the 3-power
+        sampler repeats its first result."""
+        real, first = sample_torsion_x, []
+
+        def repeat_bob(curve, ell, *args):
+            if ell == 2:
+                return real(curve, ell, *args)
+            if not first:
+                first.append(real(curve, ell, *args))
+            return first[0]
+
+        monkeypatch.setattr(protocol, "sample_torsion_x", repeat_bob)
+        with pytest.raises(SamplingExhaustedError, match="no independent Bob basis"):
+            param_gen(4, 3, random.Random(1))
+
     def test_name_reads_back(self):
         params = param_gen(4, 3, random.Random(1), name="toy set #1")
         assert loads_params(dumps_params(params)).name == "toy set #1"
@@ -125,7 +150,7 @@ class TestParams:
         path = tmp_path / "toy.txt"
         path.write_text(dumps_params(toy))
         again = loads_params(path.read_text())
-        assert again == toy and again.field is not toy.field
+        assert dumps_params(again) == dumps_params(toy) and again.field is not toy.field
 
     def test_file_rejects_wrong_p(self, toy, tmp_path):
         path = tmp_path / "toy.txt"
@@ -169,7 +194,7 @@ class TestKeygen:
         E1 = ReferenceCurve(get_a(pk, F), F)
         P = E1.lift_x(pk.xP)
         Q = E1.lift_x(pk.xQ)
-        diffs = {E1.sub(P, Q).x, E1.add(P, Q).x}  # sign of Q unknown
+        diffs = [E1.sub(P, Q).x, E1.add(P, Q).x]  # sign of Q unknown
         assert pk.xPQ in diffs
 
     def test_out_of_range_sk_rejected(self, toy):
@@ -188,6 +213,11 @@ class TestDerive:
         assert derive(p434, ALICE, ska, keygen(p434, BOB, skb)) == derive(
             p434, BOB, skb, keygen(p434, ALICE, ska)
         )
+
+    def test_alice_chain_takes_no_fault(self, toy):
+        """secret_isogeny's refusal of a fault on Alice's 2-power chain."""
+        with pytest.raises(ValueError, match="the fault targets the 3-isogeny side only"):
+            derive_with_trace(toy, ALICE, 3, keygen(toy, BOB, 5), fault_at=0)
 
     def test_derive_on_basis_matches_direct_quotient(self, toy):
         """Deriving against the raw own-side basis computes j(E/<P + [sk]Q>),
@@ -307,9 +337,9 @@ class TestTorsionSampler:
         while len(xs) < count:
             x = E.field.random_element(rng)
             ref = self._exact(E, ell, k, x)
-            if ref and ref[1].x not in tops:
+            if ref and (ref[1].x.re, ref[1].x.im) not in tops:
                 xs.append(x)
-                tops.add(ref[1].x)
+                tops.add((ref[1].x.re, ref[1].x.im))
         return xs
 
     @staticmethod

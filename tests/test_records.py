@@ -10,7 +10,7 @@ from sidhlab.isogeny import balanced_strategy
 
 RECORDS = {
     "montgomery": {"ProjCoeff", "XPoint"},
-    "isogeny": {"IsogenyStep"},
+    "isogeny": {"IsogenyStep", "ChainTrace"},
     "protocol": {"PublicKey", "SidhParams"},
     "countermeasure": {"PushforwardConfig", "NaiveRejectOutcome"},
     "faultsim": {"OracleVerdict"},
